@@ -199,6 +199,8 @@ class FqField:
         }
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, FqField)
             and self.p == other.p

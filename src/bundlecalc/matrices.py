@@ -7,6 +7,10 @@ immutable nested tuples, so they hash and sort.  The sort order is the
 lexicographic order of index rows, which coincides with the lexicographic
 order of coefficient-tuple serializations because the element indices are
 themselves lexicographically ordered.
+
+The public constructor validates its entries; products, inverses and the
+functors build their results with the trusted ``FqMatrix._make``, because
+entries computed from the field tables are valid by construction.
 """
 
 from __future__ import annotations
@@ -37,11 +41,23 @@ class FqMatrix:
         self.rows = rows
         self.n = n
 
+    @classmethod
+    def _make(cls, field: FqField, rows: tuple[tuple[int, ...], ...]) -> "FqMatrix":
+        """Trusted constructor: rows must already be a square tuple of tuples
+        of field element indices."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.n = len(rows)
+        return m
+
     # -- constructors ----------------------------------------------------
     @staticmethod
     def identity(field: FqField, n: int) -> "FqMatrix":
         one, zero = field.one, field.zero
-        return FqMatrix(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return FqMatrix._make(
+            field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        )
 
     @staticmethod
     def from_ints(field: FqField, rows: Sequence[Sequence[int]]) -> "FqMatrix":
@@ -59,25 +75,24 @@ class FqMatrix:
 
     # -- ring operations ---------------------------------------------------
     def __mul__(self, other: "FqMatrix") -> "FqMatrix":
-        if self.field != other.field or self.n != other.n:
-            raise DomainError("matrix dimension/field mismatch", code="bad_matrix")
         f = self.field
+        if other.field != f or self.n != other.n:
+            raise DomainError("matrix dimension/field mismatch", code="bad_matrix")
         mul, add = f.mul_table, f.add_table
-        n = self.n
         bcols = tuple(zip(*other.rows))
         out = []
         for arow in self.rows:
             row = []
             for bcol in bcols:
                 acc = 0
-                for k in range(n):
-                    acc = add[acc][mul[arow[k]][bcol[k]]]
+                for x, y in zip(arow, bcol):
+                    acc = add[acc][mul[x][y]]
                 row.append(acc)
-            out.append(row)
-        return FqMatrix(f, out)
+            out.append(tuple(row))
+        return FqMatrix._make(f, tuple(out))
 
     def transpose(self) -> "FqMatrix":
-        return FqMatrix(self.field, tuple(zip(*self.rows)))
+        return FqMatrix._make(self.field, tuple(zip(*self.rows)))
 
     def det(self) -> int:
         """Determinant by fraction-free-ish Gaussian elimination over F_q."""
@@ -116,7 +131,7 @@ class FqMatrix:
                 if r != col and m[r][col]:
                     factor = m[r][col]
                     m[r] = [f.sub(m[r][c], f.mul(factor, m[col][c])) for c in range(2 * n)]
-        return FqMatrix(f, [row[n:] for row in m])
+        return FqMatrix._make(f, tuple(tuple(row[n:]) for row in m))
 
     def is_invertible(self) -> bool:
         return self.det() != self.field.zero
@@ -173,7 +188,7 @@ def kronecker(a: FqMatrix, b: FqMatrix) -> FqMatrix:
                 orow = out[i * m + j]
                 for l in range(m):
                     orow[k * m + l] = mul[aik][brow[l]]
-    return FqMatrix(f, out)
+    return FqMatrix._make(f, tuple(tuple(row) for row in out))
 
 
 def dual_matrix(a: FqMatrix) -> FqMatrix:
@@ -234,7 +249,7 @@ def sym_matrix(a: FqMatrix, n: int) -> FqMatrix:
         for e, c in poly.items():
             col[pos[e]] = c
         cols.append(col)
-    return FqMatrix(f, [list(row) for row in zip(*cols)])
+    return FqMatrix._make(f, tuple(zip(*cols)))
 
 
 def wedge_matrix(a: FqMatrix, n: int) -> FqMatrix:
@@ -251,7 +266,7 @@ def wedge_matrix(a: FqMatrix, n: int) -> FqMatrix:
     for rows_sel in subsets:
         row = []
         for cols_sel in subsets:
-            sub = FqMatrix(f, [[a.rows[i][j] for j in cols_sel] for i in rows_sel])
+            sub = FqMatrix._make(f, tuple(tuple(a.rows[i][j] for j in cols_sel) for i in rows_sel))
             row.append(sub.det())
-        out.append(row)
-    return FqMatrix(f, out)
+        out.append(tuple(row))
+    return FqMatrix._make(f, tuple(out))

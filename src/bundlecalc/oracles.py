@@ -10,7 +10,9 @@ from the main implementation, for cross-checking:
   * SL(2, F_q) by filtering all q^4 matrices for determinant 1 (against the
     two-generator closure);
   * reducibility of a 2-dimensional matrix group by searching for a common
-    eigenvector over the quadratic extension (against the algebra span test).
+    eigenvector over the quadratic extension (against the algebra span test);
+    the group is enumerated here by its own search over 2x2 entry tuples,
+    not by the packed closure in bundlecalc.groups.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .chern import ChernData
 from .errors import DomainError
 from .fields import FqField, make_field
 from .matrices import FqMatrix
-from .groups import closure
 
 # -- truncated polynomials in formal Chern roots -------------------------
 
@@ -218,6 +219,27 @@ def _embedding_root(field: FqField, ext: FqField) -> int:
     raise DomainError("modulus has no root in the quadratic extension", code="internal")
 
 
+def _closure_2x2(field: FqField, gens: Sequence[FqMatrix]) -> set:
+    """Elements of the group generated by 2x2 matrices, as entry tuples
+    (a, b, c, d), by breadth-first search with the field's add and mul."""
+    add, mul = field.add, field.mul
+    gs = [tuple(x for row in g.rows for x in row) for g in gens]
+    start = (field.one, field.zero, field.zero, field.one)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for a, b, c, d in frontier:
+            for e, f, g, h in gs:
+                prod = (add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
+                        add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)))
+                if prod not in seen:
+                    seen.add(prod)
+                    new.append(prod)
+        frontier = new
+    return seen
+
+
 def reducible_by_common_eigenvector(gens: Sequence[FqMatrix]) -> bool:
     """True iff all elements of the generated 2-dimensional group share an
     eigenvector over the quadratic extension.
@@ -229,7 +251,7 @@ def reducible_by_common_eigenvector(gens: Sequence[FqMatrix]) -> bool:
     field = gens[0].field
     if any(g.n != 2 for g in gens):
         raise DomainError("eigenvector oracle is 2-dimensional only", code="bad_matrix")
-    elements = closure(gens)
+    elements = _closure_2x2(field, gens)
     ext = make_field(field.p, 2 * field.e)
     root = _embedding_root(field, ext)
 
@@ -241,11 +263,7 @@ def reducible_by_common_eigenvector(gens: Sequence[FqMatrix]) -> bool:
             power = ext.mul(power, root)
         return acc
 
-    mats = [
-        ((embed(m.rows[0][0]), embed(m.rows[0][1])),
-         (embed(m.rows[1][0]), embed(m.rows[1][1])))
-        for m in elements
-    ]
+    mats = [((embed(a), embed(b)), (embed(c), embed(d))) for a, b, c, d in elements]
     lines = [(ext.one, t) for t in ext.elements()] + [(ext.zero, ext.one)]
     for v in lines:
         ok = True

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from bundlecalc import (
@@ -12,6 +15,7 @@ from bundlecalc import (
     make_field,
     sl2_generate,
 )
+from bundlecalc import groups
 from bundlecalc.groups import apply_matrix_functor, sl2_elementary_generators
 from bundlecalc.matrices import dual_matrix, kronecker, sym_matrix, wedge_matrix
 from bundlecalc.oracles import reducible_by_common_eigenvector, sl2_by_filter
@@ -50,6 +54,14 @@ class TestSl2Generation:
         field = make_field(7, 1)
         with pytest.raises(CapExceededError):
             sl2_generate(field, cap=100)
+
+    def test_a_non_unimodular_element_is_caught(self, monkeypatch):
+        field = make_field(5, 1)
+        scaled = FqMatrix.from_ints(field, [[1, 0], [0, 2]])
+        real_closure = groups.closure
+        monkeypatch.setattr(groups, "closure", lambda gens, cap: real_closure(gens, cap) + (scaled,))
+        with pytest.raises(DomainError, match="non-unimodular"):
+            sl2_generate(field)
 
 
 class TestClosure:
@@ -168,6 +180,42 @@ class TestAssociatedReps:
         with pytest.raises(DomainError):
             associated_rep(self.rep, "adjoint")
 
+    @pytest.mark.parametrize("functor,n,dim", [("sym", 16, 17), ("sym", 10 ** 6, 10 ** 6 + 1),
+                                               ("tensor_with", 0, 36)])
+    def test_span_cap_is_checked_before_any_image_is_built(self, monkeypatch, functor, n, dim):
+        def unreachable(*args):
+            raise AssertionError("image built before the span cap was checked")
+
+        for name in ("sym_matrix", "wedge_matrix", "dual_matrix", "kronecker"):
+            monkeypatch.setattr(groups, name, unreachable)
+        rep = self.rep
+        other = None
+        if functor == "tensor_with":
+            rep = other = FreeGroupRep.of([FqMatrix.identity(self.field, 6)] * 2)
+        with pytest.raises(CapExceededError, match=f"dimension {dim} exceeds"):
+            associated_rep(rep, functor, n, other)
+
+    def test_cap_on_three_dimensional_sym_and_large_dual(self):
+        sym2 = associated_rep(self.rep, "sym", 2)
+        assert associated_rep(sym2, "sym", 4).dim == 15
+        with pytest.raises(CapExceededError, match="dimension 21 exceeds"):
+            associated_rep(sym2, "sym", 5)
+        big = FreeGroupRep.of([FqMatrix.identity(self.field, 17)])
+        with pytest.raises(CapExceededError, match="dimension 17 exceeds"):
+            associated_rep(big, "dual")
+
+    def test_input_errors_win_over_the_span_cap(self):
+        with pytest.raises(DomainError, match="nonnegative") as exc:
+            associated_rep(self.rep, "sym", -1)
+        assert exc.value.code == "bad_power"
+        with pytest.raises(DomainError, match="exceeds the dimension") as exc:
+            associated_rep(self.rep, "wedge", 3)
+        assert exc.value.code == "bad_power"
+        big = FreeGroupRep.of([FqMatrix.identity(self.field, 17)] * 3)
+        with pytest.raises(DomainError, match="matching free rank") as exc:
+            associated_rep(big, "tensor_with", other=FreeGroupRep.of(big.images[:1]))
+        assert exc.value.code == "bad_functor"
+
 
 class TestMatrixFunctors:
     @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (2, 2)])
@@ -198,3 +246,49 @@ class TestMatrixFunctors:
         field = make_field(2, 2)
         m = FqMatrix.from_coeff_rows(field, [[[0, 1], [1, 0]], [[0, 0], [1, 1]]])
         assert FqMatrix.from_coeff_rows(field, m.to_coeff_rows()) == m
+
+
+def _random_invertible(rng, n, p):
+    while True:
+        m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if FqMatrix.from_ints(make_field(p, 1), m).is_invertible():
+            return m
+
+
+def _schreier_sims_order(mats, p):
+    """Order of the group of integer matrices mod p, acting on row vectors."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    n = len(mats[0])
+    vectors = list(itertools.product(range(p), repeat=n))
+    index = {v: i for i, v in enumerate(vectors)}
+    perms = [
+        combinatorics.Permutation([
+            index[tuple(sum(v[k] * m[k][j] for k in range(n)) % p for j in range(n))]
+            for v in vectors
+        ])
+        for m in mats
+    ]
+    return combinatorics.PermutationGroup(perms).order()
+
+
+class TestClosureOracles:
+    @pytest.mark.parametrize("n,p,seed", [(2, p, seed) for p in (2, 3, 5, 7) for seed in range(3)]
+                             + [(3, p, seed) for p in (2, 3) for seed in range(3)])
+    def test_order_matches_schreier_sims(self, n, p, seed):
+        rng = random.Random(f"closure/{n}/{p}/{seed}")
+        mats = [_random_invertible(rng, n, p) for _ in range(rng.randint(1, 3))]
+        field = make_field(p, 1)
+        group = group_from_generators([FqMatrix.from_ints(field, m) for m in mats])
+        assert group.order == _schreier_sims_order(mats, p)
+
+    @pytest.mark.parametrize("p,e,n", [(7, 1, 2), (2, 2, 2), (3, 2, 2), (3, 1, 3), (2, 1, 3)])
+    def test_output_is_strictly_sorted(self, p, e, n):
+        field = make_field(p, e)
+        rng = random.Random(f"sorted/{p}/{e}/{n}")
+        gens = [FqMatrix(field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)])
+                for _ in range(2)]
+        gens = [g for g in gens if g.is_invertible()] or [FqMatrix.identity(field, n)]
+        elements = group_from_generators(gens).elements
+        rows = [m.rows for m in elements]
+        assert rows == sorted(set(rows))
+        assert all(m.field is field for m in elements)

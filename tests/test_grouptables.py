@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bundlecalc import (
@@ -5,6 +7,7 @@ from bundlecalc import (
     DomainError,
     FiniteGroupTable,
     FqMatrix,
+    FqMatrixGroup,
     JordanMode,
     group_from_generators,
     jordan_constant,
@@ -42,9 +45,43 @@ class TestFiniteGroupTable:
         assert t.order == 3 and t.is_abelian()
 
     def test_broken_associativity_rejected(self):
-        table = ((0, 1, 2), (1, 2, 0), (2, 1, 0))
-        with pytest.raises(DomainError):
-            FiniteGroupTable(3, table, ("a", "b", "c"))
+        # a loop: identity 0 and two-sided inverses, but (1*2)*3 != 1*(2*3)
+        table = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+                 (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+        with pytest.raises(DomainError, match="associativity"):
+            FiniteGroupTable(5, table, ("a", "b", "c", "d", "e"))
+
+    def test_light_test_agrees_with_the_cubic_check(self):
+        rng = random.Random(20261018)
+        verdicts = {True: 0, False: 0}
+        for _ in range(3000):
+            n = rng.randint(2, 6)
+            table = [[0] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    table[a][b] = b if a == 0 else a if b == 0 else rng.randrange(n)
+            if not all(any(table[a][b] == 0 == table[b][a] for b in range(n)) for a in range(n)):
+                continue
+            associative = all(table[table[a][b]][c] == table[a][table[b][c]]
+                              for a in range(n) for b in range(n) for c in range(n))
+            verdicts[associative] += 1
+            if associative:
+                FiniteGroupTable(n, table, tuple(map(str, range(n))))
+            else:
+                with pytest.raises(DomainError, match="associativity"):
+                    FiniteGroupTable(n, table, tuple(map(str, range(n))))
+        assert verdicts[True] > 10 and verdicts[False] > 100
+
+    def test_relabeled_group_tables_pass(self):
+        rng = random.Random(7)
+        base = table_from_matrix_group(sl2_generate(make_field(3, 1))).table
+        for _ in range(5):
+            perm = list(range(24))
+            rng.shuffle(perm)
+            inv = {v: i for i, v in enumerate(perm)}
+            table = [[perm[base[inv[a]][inv[b]]] for b in range(24)] for a in range(24)]
+            t = FiniteGroupTable(24, table, tuple(map(str, range(24))))
+            assert t.identity == perm[base.index(tuple(range(24)))]
 
     def test_missing_identity_rejected(self):
         table = ((1, 1), (1, 1))
@@ -97,3 +134,59 @@ class TestJordanVerify:
     def test_certificate_json(self):
         cert = jordan_verify(cyclic_table(4), 1, 12)
         assert cert.to_json() == {"N_order": "4", "index": "1", "bound": "12", "holds": True}
+
+
+def _f9_monomial_group():
+    # diag(x, 1) and the swap over F_9: monomial matrices with entries in <x>
+    field = make_field(3, 2)
+    x = field.index((0, 1))
+    return group_from_generators([
+        FqMatrix(field, [[x, field.zero], [field.zero, field.one]]),
+        FqMatrix.from_ints(field, [[0, 1], [1, 0]]),
+    ])
+
+
+def _table_fixtures():
+    f3, f5, f7 = make_field(3, 1), make_field(5, 1), make_field(7, 1)
+
+    def grp(field, mats):
+        return group_from_generators([FqMatrix.from_ints(field, m) for m in mats])
+
+    return {
+        "SL(2,5)": sl2_generate(f5),
+        "GL(2,3)": grp(f3, [[[1, 1], [0, 1]], [[0, 1], [1, 0]]]),
+        "A4": grp(f5, [[[1, 0, 0], [0, -1, 0], [0, 0, -1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]),
+        "S4": grp(f5, [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]),
+        "C7": grp(f7, [[[1, 1], [0, 1]]]),
+        "SL(2,4)": sl2_generate(make_field(2, 2)),
+        "F9 monomial": _f9_monomial_group(),
+    }
+
+
+class TestTableFromMatrixGroup:
+    @pytest.mark.parametrize("name", sorted(_table_fixtures()))
+    def test_equals_the_brute_force_table(self, name):
+        group = _table_fixtures()[name]
+        index = {m: i for i, m in enumerate(group.elements)}
+        expected = tuple(tuple(index[a * b] for b in group.elements) for a in group.elements)
+        table = table_from_matrix_group(group)
+        assert table.table == expected
+        assert table.labels == tuple(m.label() for m in group.elements)
+        assert group.elements[table.identity] == FqMatrix.identity(group.field, group.dim)
+
+    def test_generators_that_miss_elements_are_rejected(self):
+        field = make_field(3, 1)
+        full = sl2_generate(field)
+        u = FqMatrix.from_ints(field, [[1, 1], [0, 1]])
+        inconsistent = FqMatrixGroup(field, 2, (u,), full.elements)
+        with pytest.raises(DomainError, match="reach"):
+            table_from_matrix_group(inconsistent)
+
+    def test_products_leaving_the_elements_are_rejected(self):
+        field = make_field(3, 1)
+        u = FqMatrix.from_ints(field, [[1, 1], [0, 1]])
+        v = FqMatrix.from_ints(field, [[1, 0], [1, 1]])
+        cyclic = group_from_generators([u])
+        inconsistent = FqMatrixGroup(field, 2, (u, v), cyclic.elements)
+        with pytest.raises(DomainError, match="closed"):
+            table_from_matrix_group(inconsistent)
