@@ -11,7 +11,6 @@ from .bounds import (
     AmbientSpace,
     JordanMode,
     RestrictionReport,
-    bogomolov_index,
     ell_bound,
     jordan_constant,
     langer_index,
@@ -103,7 +102,6 @@ __all__ = [
     "TruncatedCh",
     "alpha_of_curve",
     "associated_rep",
-    "bogomolov_index",
     "burnside_irreducible",
     "check_assumptions",
     "direct_sum",

@@ -127,11 +127,6 @@ def langer_index(e: ChernData, amb: AmbientSpace, delta_pairing: Fraction) -> in
     return _floor(total)
 
 
-def bogomolov_index(e: ChernData, amb: AmbientSpace, delta_pairing: Fraction) -> int:
-    """Alias of ``langer_index``; the same floor under its other name."""
-    return langer_index(e, amb, delta_pairing)
-
-
 def schur_surd_multiple(r: int) -> int:
     """The integer b with (sqrt(8r)+1)^N - (sqrt(8r)-1)^N = b sqrt(8r), N = 2r^2.
 

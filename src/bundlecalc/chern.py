@@ -202,76 +202,50 @@ def sym_rank(r: int, n: int) -> int:
     return math.comb(n + r - 1, r - 1)
 
 
-# Internal character representation for polynomial functors of a single
-# bundle E: (a0, a1, a2, a3) stands for a0 + a1*c1(E) + a2*ch2(E) + a3*c1(E)^2
-# in the graded quotient ring Q[c1, ch2]/(degree >= 3).  The Adams operation
-# psi^k scales degree-i parts by k^i and is a ring map, so the classical
-# Newton recursions for Sym^n and Lambda^n stay exact after truncation.
-
-_Four = tuple[Fraction, Fraction, Fraction, Fraction]
-
-_FOUR_ONE: _Four = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+def _binom(a: int, b: int) -> int:
+    """Generalized binomial a(a-1)...(a-b+1)/b!, and 0 for b < 0."""
+    if b < 0:
+        return 0
+    if a >= 0:
+        return math.comb(a, b)
+    return (-1) ** b * math.comb(b - a - 1, b)
 
 
-def _four_mul(x: _Four, y: _Four) -> _Four:
-    return (
-        x[0] * y[0],
-        x[0] * y[1] + y[0] * x[1],
-        x[0] * y[2] + y[0] * x[2],
-        x[0] * y[3] + y[0] * x[3] + x[1] * y[1],
-    )
+# Characters of polynomial functors of one bundle E of rank r: (a0, a1, a2, a3)
+# stands for a0 + a1*c1(E) + a2*ch2(E) + a3*c1(E)^2 in the graded quotient
+# ring Q[c1, ch2]/(degree >= 3).  Expanding the generating functions
+# prod_i (1 - t e^(x_i))^(-1) and prod_i (1 + t e^(x_i)) in the Chern roots
+# x_i to degree 2 (Macdonald, Symmetric Functions and Hall Polynomials, ch. I)
+# gives the coefficient of t^n in closed form.
+
+def sym_character(r: int, n: int) -> tuple[int, int, int, Fraction]:
+    """Character of Sym^n of rank r: with m = n + r - 1, A = C(m, n-1) and
+    B = C(m, n-2), it is (C(m, n), A, A + B, B/2)."""
+    m = n + r - 1
+    a, b = _binom(m, n - 1), _binom(m, n - 2)
+    return _binom(m, n), a, a + b, Fraction(b, 2)
 
 
-def _four_adams(k: int, x: _Four) -> _Four:
-    kk = Fraction(k * k)
-    return (x[0], k * x[1], kk * x[2], kk * x[3])
+def wedge_character(r: int, n: int) -> tuple[int, int, int, Fraction]:
+    """Character of Lambda^n of rank r: with c_k = C(r-k, n-k), it is
+    (c0, c1, c1 - c2, c2/2).  For r <= 1 it can be nonzero in the abstract
+    ring at n > r; ``wedge_power`` returns the zero object there."""
+    c0, c1, c2 = (_binom(r - k, n - k) for k in range(3))
+    return c0, c1, c1 - c2, Fraction(c2, 2)
 
 
-def _four_add(x: _Four, y: _Four) -> _Four:
-    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
-
-
-def _four_scale(c: Fraction, x: _Four) -> _Four:
-    return (c * x[0], c * x[1], c * x[2], c * x[3])
-
-
-def power_functor_characters(rank: int, n: int, alternating: bool) -> list[_Four]:
-    """Characters of Sym^0..Sym^n (or Lambda^0..Lambda^n) of a rank-r bundle.
-
-    Newton recursions driven by Adams operations:
-      m Sym^m = sum_{k=1..m} psi^k Sym^(m-k)
-      m Lam^m = sum_{k=1..m} (-1)^(k-1) psi^k Lam^(m-k)
-    """
-    base: _Four = (Fraction(rank), Fraction(1), Fraction(1), Fraction(0))
-    out = [_FOUR_ONE]
-    for m in range(1, n + 1):
-        acc = (Fraction(0),) * 4
-        for k in range(1, m + 1):
-            term = _four_mul(_four_adams(k, base), out[m - k])
-            if alternating and k % 2 == 0:
-                term = _four_scale(Fraction(-1), term)
-            acc = _four_add(acc, term)
-        out.append(_four_scale(Fraction(1, m), acc))
-    return out
-
-
-def _evaluate_functor(e: ChernData, f: _Four) -> ChernData:
-    rank = f[0]
-    if rank.denominator != 1:
-        raise DomainError(f"functor rank {rank} is not integral", code="internal")
-    ch2_e = (e.c1sq - 2 * e.c2) / 2
-    deg = f[1] * e.deg
-    c1sq = f[1] * f[1] * e.c1sq
-    ch2 = f[2] * ch2_e + f[3] * e.c1sq
-    return ChernData(rank.numerator, deg, c1sq, (c1sq - 2 * ch2) / 2)
+def _evaluate(e: ChernData, char: tuple[int, int, int, Fraction]) -> ChernData:
+    rank, a1, a2, a3 = char
+    c1sq = a1 * a1 * e.c1sq
+    ch2 = a2 * (e.c1sq - 2 * e.c2) / 2 + a3 * e.c1sq
+    return ChernData(rank, a1 * e.deg, c1sq, (c1sq - 2 * ch2) / 2)
 
 
 def sym_power(e: ChernData, n: int) -> ChernData:
     """Exact Chern data of Sym^n(e)."""
     if n < 0:
         raise DomainError("power must be nonnegative", code="bad_power")
-    chars = power_functor_characters(e.rank, n, alternating=False)
-    return _evaluate_functor(e, chars[n])
+    return _evaluate(e, sym_character(e.rank, n))
 
 
 def wedge_power(e: ChernData, n: int) -> ChernData:
@@ -280,5 +254,4 @@ def wedge_power(e: ChernData, n: int) -> ChernData:
         raise DomainError("power must be nonnegative", code="bad_power")
     if n > e.rank:
         return ChernData.zero()
-    chars = power_functor_characters(e.rank, n, alternating=True)
-    return _evaluate_functor(e, chars[n])
+    return _evaluate(e, wedge_character(e.rank, n))

@@ -315,36 +315,33 @@ def holonomy(
 
 def associated_rep(rep: FreeGroupRep, functor: str, n: int = 0,
                    other: Optional[FreeGroupRep] = None) -> FreeGroupRep:
-    """Apply a matrix functor generator-wise.
+    """Apply a matrix functor generator-wise, through ``apply_matrix_functor``.
 
     functor is one of "dual", "sym", "wedge", "tensor_with"; sym/wedge take
     the power n and tensor_with takes the second representation (of the same
-    free group, matched generator by generator).
+    free group, matched generator by generator).  The output dimension is
+    checked against the span cap before any image is built; a bad power or
+    an unknown functor is rejected by ``apply_matrix_functor``.
     """
     r = rep.dim
-    if functor == "dual":
-        _check_span_cap(r)
-        images = [dual_matrix(m) for m in rep.images]
-    elif functor == "sym":
-        if n >= 0:  # a negative power is rejected by sym_matrix
-            _check_span_cap(comb(n + r - 1, r - 1))
-        images = [sym_matrix(m, n) for m in rep.images]
-    elif functor == "wedge":
-        if 0 <= n <= r:  # other powers are rejected by wedge_matrix
-            _check_span_cap(comb(r, n))
-        images = [wedge_matrix(m, n) for m in rep.images]
-    elif functor == "tensor_with":
+    others = [None] * rep.free_rank
+    if functor == "tensor_with":
         if other is None:
             raise DomainError("tensor_with requires a second representation", code="bad_functor")
         if other.free_rank != rep.free_rank or other.field != rep.field:
             raise DomainError(
                 "tensor_with requires matching free rank and field", code="bad_functor"
             )
+        others = other.images
         _check_span_cap(r * other.dim)
-        images = [kronecker(a, b) for a, b in zip(rep.images, other.images)]
-    else:
-        raise DomainError(f"unknown functor {functor!r}", code="bad_functor")
-    return FreeGroupRep.of(images)
+    elif functor == "dual":
+        _check_span_cap(r)
+    elif functor == "sym" and n >= 0:
+        _check_span_cap(comb(n + r - 1, r - 1))
+    elif functor == "wedge" and n >= 0:
+        _check_span_cap(comb(r, n))
+    return FreeGroupRep.of([apply_matrix_functor(m, functor, n, o)
+                            for m, o in zip(rep.images, others)])
 
 
 def _check_span_cap(new_dim: int) -> None:
@@ -357,7 +354,8 @@ def _check_span_cap(new_dim: int) -> None:
 
 def apply_matrix_functor(m: FqMatrix, functor: str, n: int = 0,
                          other: Optional[FqMatrix] = None) -> FqMatrix:
-    """Single-matrix version of the functors above (for functoriality checks)."""
+    """The matrix of one functor applied to one matrix: the single map from
+    functor name to matrix function, used by ``associated_rep``."""
     if functor == "dual":
         return dual_matrix(m)
     if functor == "sym":

@@ -100,20 +100,6 @@ class FiniteGroupTable:
         n = self.order
         return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
 
-    def exponent(self) -> int:
-        """Least common multiple of the element orders."""
-        from math import lcm
-
-        e = self.identity
-        result = 1
-        for a in range(self.order):
-            x, k = a, 1
-            while x != e:
-                x = self.table[x][a]
-                k += 1
-            result = lcm(result, k)
-        return result
-
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Sorted classes, identity class first."""
         n = self.order

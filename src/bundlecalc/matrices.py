@@ -196,11 +196,14 @@ def dual_matrix(a: FqMatrix) -> FqMatrix:
     return a.inverse().transpose()
 
 
-def _monomials(r: int, n: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of total degree n in r variables, lexicographic."""
-    out = [t for t in itertools.product(range(n + 1), repeat=r) if sum(t) == n]
-    out.sort()
-    return out
+def _monomials(r: int, n: int):
+    """Exponent vectors of total degree n in r >= 1 variables, lexicographic."""
+    if r == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _monomials(r - 1, n - first):
+            yield (first, *rest)
 
 
 def sym_matrix(a: FqMatrix, n: int) -> FqMatrix:
@@ -208,43 +211,53 @@ def sym_matrix(a: FqMatrix, n: int) -> FqMatrix:
 
     Column alpha is the expansion of prod_j (a . x_j)^(alpha_j) as a
     polynomial; this makes Sym multiplicative: Sym(ab) = Sym(a) Sym(b).
+    The powers of the column polynomials are taken by repeated squaring, so
+    the cost grows with log n, not n, once the basis is fixed.
     """
     if n < 0:
         raise DomainError("power must be nonnegative", code="bad_power")
     f = a.field
     r = a.n
-    basis = _monomials(r, n)
+    add, mul = f.add_table, f.mul_table
+    basis = list(_monomials(r, n))
     pos = {m: i for i, m in enumerate(basis)}
-    unit_exps = [tuple(1 if k == j else 0 for k in range(r)) for j in range(r)]
-    # columns of a as linear polynomials
-    col_polys = []
-    for j in range(r):
-        poly = {}
-        for i in range(r):
-            if a.rows[i][j]:
-                poly[unit_exps[i]] = a.rows[i][j]
-        col_polys.append(poly)
+    one = {(0,) * r: f.one}
 
     def poly_mul(p1, p2):
         out = {}
         for e1, c1 in p1.items():
+            times = mul[c1]
             for e2, c2 in p2.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                c = f.mul(c1, c2)
-                if e in out:
-                    c = f.add(out[e], c)
+                c = add[out.get(e, 0)][times[c2]]
                 if c:
                     out[e] = c
                 elif e in out:
                     del out[e]
         return out
 
+    def poly_pow(p, k):
+        out = one
+        while k:
+            if k & 1:
+                out = poly_mul(out, p)
+            k >>= 1
+            if k:
+                p = poly_mul(p, p)
+        return out
+
+    # column j of a as the linear polynomial sum_i a[i][j] x_i, and its powers
+    col_polys = [{tuple(int(k == i) for k in range(r)): a.rows[i][j]
+                  for i in range(r) if a.rows[i][j]} for j in range(r)]
+    powers = [{} for _ in range(r)]
     cols = []
     for alpha in basis:
-        poly = {tuple([0] * r): f.one}
-        for j, aj in enumerate(alpha):
-            for _ in range(aj):
-                poly = poly_mul(poly, col_polys[j])
+        poly = one
+        for j, k in enumerate(alpha):
+            if k:
+                if k not in powers[j]:
+                    powers[j][k] = poly_pow(col_polys[j], k)
+                poly = poly_mul(poly, powers[j][k])
         col = [f.zero] * len(basis)
         for e, c in poly.items():
             col[pos[e]] = c

@@ -4,7 +4,7 @@ Each routine here recomputes a quantity by a route deliberately different
 from the main implementation, for cross-checking:
 
   * symmetric/exterior power Chern data by expanding formal Chern roots in a
-    truncated polynomial ring (against the Adams-operation recursion);
+    truncated polynomial ring (against the closed-form characters);
   * the surd expansion (sqrt(8r)+1)^N - (sqrt(8r)-1)^N by iterated
     multiplication in Z[sqrt(8r)] (against the binomial-sum expansion);
   * SL(2, F_q) by filtering all q^4 matrices for determinant 1 (against the
@@ -129,7 +129,7 @@ def _pairings(e: ChernData, n: int, kind: str) -> tuple[Fraction, Fraction, Frac
 
 def power_by_roots(e: ChernData, n: int, kind: str) -> ChernData:
     """Chern data of Sym^n(e) ("sym") or Lambda^n(e) ("wedge") by the
-    splitting principle, independent of the Adams recursion.
+    splitting principle, independent of the closed-form characters.
 
     A rank-1 record can carry c2 data that no single Chern root realizes
     (ideal-sheaf-like classes), so rank 1 is reduced to honest rank-2
@@ -170,6 +170,17 @@ def power_by_roots(e: ChernData, n: int, kind: str) -> ChernData:
     c1sq = alpha * alpha * e.c1sq
     c2 = beta * e.c1sq + gamma * e.c2
     return ChernData(t, deg, c1sq, c2)
+
+
+def character_product(x: Sequence, y: Sequence) -> tuple:
+    """Product in the character ring Q[c1, ch2]/(degree >= 3) on the basis
+    (1, c1, ch2, c1^2), for the identity sum_k (-1)^k Sym^(n-k) Lambda^k = 0."""
+    return (
+        x[0] * y[0],
+        x[0] * y[1] + y[0] * x[1],
+        x[0] * y[2] + y[0] * x[2],
+        x[0] * y[3] + y[0] * x[3] + x[1] * y[1],
+    )
 
 
 # -- surd expansion -------------------------------------------------------

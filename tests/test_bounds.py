@@ -11,7 +11,6 @@ from bundlecalc import (
     JordanMode,
     MissingConstantError,
     PrecisionError,
-    bogomolov_index,
     discriminant,
     dual,
     ell_bound,
@@ -52,11 +51,6 @@ class TestLangerIndex:
 
     def test_assume_beta_zero_flag(self):
         assert langer_index(ChernData(2), surface(assume=True), F(20)) == 10
-
-    def test_alias(self):
-        e = ChernData(2, F(0), F(0), F(5))
-        amb = surface(assume=True)
-        assert bogomolov_index(e, amb, F(20)) == langer_index(e, amb, F(20))
 
     @given(
         st.integers(min_value=2, max_value=7),

@@ -173,12 +173,19 @@ class TestPowers:
         assert sym_power(e, 2) == bundle(1, 4, 16, 9)
         assert sym_power(e, 2) == power_by_roots(e, 2, "sym")
 
-    @pytest.mark.parametrize("rank", [1, 2, 3])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
     def test_spot_oracle_agreement(self, rank, n):
         e = bundle(rank, 2, 3, -1)
         assert sym_power(e, n) == power_by_roots(e, n, "sym")
         assert wedge_power(e, n) == power_by_roots(e, n, "wedge")
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_powers_of_the_zero_object(self, n):
+        # Sym^0 and Lambda^0 are the trivial line; higher powers are zero
+        expected = bundle(1) if n == 0 else ChernData.zero()
+        assert sym_power(ChernData.zero(), n) == expected
+        assert wedge_power(ChernData.zero(), n) == expected
 
     def test_sym_rank_examples(self):
         assert sym_rank(2, 384064) == 384065

@@ -1,4 +1,5 @@
 import json
+import time
 
 from bundlecalc.cli import main
 
@@ -48,6 +49,12 @@ class TestChernCommands:
         # "0.5" is an exact decimal string, converted to 1/2 without floats
         code, out, _ = run(capsys, "chern", "slope", "--rank", "2", "--deg", "0.5")
         assert code == 0 and json.loads(out) == {"slope": "1/4"}
+
+    def test_sym_at_a_large_power_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "chern", "sym", "--rank", "2", "--c2", "1", "--n", "3000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and json.loads(out)["rank"] == "3001"
 
     def test_json_float_rejected(self, capsys):
         code, _, err = run(
@@ -169,6 +176,14 @@ class TestHolCommands:
         payload = json.loads(out)
         assert payload["dim"] == "1"
         assert payload["images"] == [[[[1]]], [[[1]]]]
+
+    def test_assoc_sym_of_a_1x1_image_at_a_huge_power(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "hol", "assoc", "--p", "7", "--images", "[[[3]]]",
+                           "--functor", "sym", "--n", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        # 3^(10^9) = 3^4 = 4 mod 7
+        assert (code, out) == (0, '{"dim": "1", "images": [[[[4]]]]}\n')
 
     def test_jordan_verify(self, capsys):
         code, out, _ = run(

@@ -181,7 +181,7 @@ class TestAssociatedReps:
             associated_rep(self.rep, "adjoint")
 
     @pytest.mark.parametrize("functor,n,dim", [("sym", 16, 17), ("sym", 10 ** 6, 10 ** 6 + 1),
-                                               ("tensor_with", 0, 36)])
+                                               ("tensor_with", 0, 36), ("wedge", 3, 20)])
     def test_span_cap_is_checked_before_any_image_is_built(self, monkeypatch, functor, n, dim):
         def unreachable(*args):
             raise AssertionError("image built before the span cap was checked")
@@ -190,10 +190,27 @@ class TestAssociatedReps:
             monkeypatch.setattr(groups, name, unreachable)
         rep = self.rep
         other = None
-        if functor == "tensor_with":
+        if functor in ("tensor_with", "wedge"):
             rep = other = FreeGroupRep.of([FqMatrix.identity(self.field, 6)] * 2)
         with pytest.raises(CapExceededError, match=f"dimension {dim} exceeds"):
             associated_rep(rep, functor, n, other)
+
+    @pytest.mark.parametrize("functor,n,called", [
+        ("dual", 0, "dual_matrix"), ("sym", 2, "sym_matrix"),
+        ("wedge", 2, "wedge_matrix"), ("tensor_with", 0, "kronecker"),
+    ])
+    def test_images_are_built_through_the_module_functors(self, monkeypatch, functor, n, called):
+        calls = {}
+        for name in ("sym_matrix", "wedge_matrix", "dual_matrix", "kronecker"):
+            def spy(*args, _name=name, _real=getattr(groups, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+
+            monkeypatch.setattr(groups, name, spy)
+        other = self.rep if functor == "tensor_with" else None
+        out = associated_rep(self.rep, functor, n, other)
+        assert calls == {called: self.rep.free_rank}
+        assert out.free_rank == self.rep.free_rank
 
     def test_cap_on_three_dimensional_sym_and_large_dual(self):
         sym2 = associated_rep(self.rep, "sym", 2)
@@ -230,6 +247,13 @@ class TestMatrixFunctors:
         for n in (0, 1, 2):
             assert wedge_matrix(ab, n) == wedge_matrix(a, n) * wedge_matrix(b, n)
         assert kronecker(a, b) * kronecker(b, a) == kronecker(a * b, b * a)
+
+    @pytest.mark.parametrize("n", [10 ** 9, 10 ** 18])
+    def test_sym_of_a_1x1_matrix_at_a_huge_power(self, n):
+        field = make_field(7, 1)
+        for a in range(1, 7):
+            m = FqMatrix.from_ints(field, [[a]])
+            assert sym_matrix(m, n) == FqMatrix.from_ints(field, [[pow(a, n, 7)]])
 
     def test_inverse(self):
         field = make_field(7, 1)
