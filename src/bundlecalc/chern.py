@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .encoding import format_rational, parse_rational
+from .encoding import format_integer, format_rational, parse_rational
 from .errors import DomainError
 
 Rat = Fraction
@@ -73,7 +73,7 @@ class ChernData:
 
     def to_json(self) -> dict:
         return {
-            "rank": str(self.rank),
+            "rank": format_integer(self.rank),
             "deg": format_rational(self.deg),
             "c1sq": format_rational(self.c1sq),
             "c2": format_rational(self.c2),

@@ -8,9 +8,10 @@ everywhere: exactness is part of the contract.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 
 
 def parse_rational(value) -> Fraction:
@@ -42,11 +43,22 @@ def parse_integer(value) -> int:
 
 
 def format_rational(value: Fraction | int) -> str:
-    return str(Fraction(value))
+    return _decimal(Fraction(value))
 
 
 def format_integer(value: int) -> str:
-    return str(int(value))
+    return _decimal(int(value))
+
+
+def _decimal(value: Fraction | int) -> str:
+    """str(value), with Python's int-to-str digit limit mapped to a cap error."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise CapExceededError(
+            f"number has more than {limit} decimal digits, the output limit"
+        ) from None
 
 
 def dumps(payload) -> str:

@@ -5,7 +5,9 @@ modulo an irreducible monic modulus polynomial; the tuple lists coefficients
 by ascending degree.  Fields are capped at q <= 81 by design: all arithmetic
 is precomputed into q x q lookup tables at construction, which also verifies
 the field axioms (every nonzero element acquires an inverse or construction
-fails).
+fails).  The tables are built additively, a row at a time as ``bytes``: add
+rows by the "+x^k" permutations, mul rows as sums of the rows of the powers
+x^k, which the "times x" map yields; no polynomial is multiplied.
 
 The canonical element order is the lexicographic order of coefficient
 tuples; enumeration, indices and serialization all use it, so downstream
@@ -15,6 +17,7 @@ group enumerations are bit-reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Optional, Sequence
 
 from .errors import CapExceededError, DomainError
@@ -27,17 +30,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
@@ -123,36 +115,67 @@ class FqField:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        p, q = self.p, self.q
-        els = self._elements
-        self.add_table = [
-            [self._index[tuple((a[k] + b[k]) % p for k in range(self.e))] for b in els]
-            for a in els
-        ]
-        self.neg_table = [self._index[tuple((-a[k]) % p for k in range(self.e))] for a in els]
-        mod = list(self.modulus)
-        self.mul_table = []
-        for a in els:
-            row = []
-            pa = _poly_trim(list(a))
-            for b in els:
-                prod = _poly_mod(_poly_mul(pa, _poly_trim(list(b)), p), mod, p)
-                prod = tuple(prod) + (0,) * (self.e - len(prod))
-                row.append(self._index[prod])
-            self.mul_table.append(row)
-        # Inverses via exhaustive search; doubles as the field-axiom check.
-        self.inv_table: list[Optional[int]] = [None] * q
+        """Fill the tables additively, on rows held as ``bytes``.
+
+        Element a = a' + x^k, with k the degree of a as a polynomial,
+        so add row a is add row a' mapped through the "+x^k" permutation and
+        mul row a is the sum of mul rows a' and x^k; the rows of x^k follow
+        from the identity by repeated use of the "times x" map.  Rows are
+        added a digit plane at a time, each plane one big integer (no
+        carries: every byte stays <= 2(p-1) < 256), then reduced mod p.
+        """
+        p, e, q = self.p, self.e, self.q
+        weights = [p ** (e - 1 - k) for k in range(e)]  # index of x^k
+        pad = bytes(256 - q)
+        digit = [bytes(i // w % p for i in range(q)) + pad for w in weights]
+        mod_p = bytes(i % p for i in range(256))
+
+        def planes(row: bytes) -> list[int]:
+            return [int.from_bytes(row.translate(t), "big") for t in digit]
+
+        def reduced(row_planes: list[int]) -> list[int]:
+            return [int.from_bytes(x.to_bytes(q, "big").translate(mod_p), "big")
+                    for x in row_planes]
+
+        # "+x^k" and "times x" as permutations of the indices
+        plus = [bytes(i - (p - 1) * w if i // w % p == p - 1 else i + w for i in range(q)) + pad
+                for w in weights]
+        m = self.modulus
+        times_x = []
+        for c in self._elements:
+            top = c[-1]
+            shifted = (0,) + c[:-1]
+            times_x.append(self._index[tuple((s - top * mk) % p for s, mk in zip(shifted, m))])
+        times_x = bytes(times_x) + pad
+
+        add_rows = [bytes(range(q))]
+        mul_rows = [bytes(q)]
+        mul_planes = [[0] * e]
+        power = bytes(range(q))  # mul row of x^k, k = 0, 1, ...
+        power_planes = []
+        for _ in range(e):
+            power_planes.append(planes(power))
+            power = power.translate(times_x)
+        for a in range(1, q):
+            k = max(k for k, w in enumerate(weights) if a // w % p)
+            rest = a - weights[k]
+            add_rows.append(add_rows[rest].translate(plus[k]))
+            row_planes = reduced([x + y for x, y in zip(mul_planes[rest], power_planes[k])])
+            mul_planes.append(row_planes)
+            mul_rows.append(sum(map(operator.mul, weights, row_planes)).to_bytes(q, "big"))
+        self.add_table = [list(row) for row in add_rows]
+        self.neg_table = [row.index(0) for row in add_rows]
+        self.mul_table = [list(row) for row in mul_rows]
+        # Inverses by lookup in each row; doubles as the field-axiom check.
+        self.inv_table: list[Optional[int]] = [None]
         for i in range(1, q):
-            row = self.mul_table[i]
-            for j in range(1, q):
-                if row[j] == self.one:
-                    self.inv_table[i] = j
-                    break
-            if self.inv_table[i] is None:
+            try:
+                self.inv_table.append(mul_rows[i].index(self.one))
+            except ValueError:
                 raise DomainError(
-                    f"element {els[i]} has no inverse; modulus is not irreducible",
+                    f"element {self._elements[i]} has no inverse; modulus is not irreducible",
                     code="reducible_modulus",
-                )
+                ) from None
 
     # -- index arithmetic ------------------------------------------------
     def add(self, a: int, b: int) -> int:

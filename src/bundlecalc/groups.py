@@ -12,17 +12,25 @@ integer order is the canonical row order.  Right multiplication by a
 generator maps each row independently, through a per-generator table from
 packed row to packed row that is filled as rows are met.  The FqMatrix
 objects are built once, from the sorted packed set.
+
+The span test runs on whole rows as well: a flattened matrix is one
+``bytes`` of entry indices (q <= 81 < 256).  Scaling is one
+``bytes.translate``; a sum is taken on the e base-p digit planes of its
+terms, each plane one big integer, and reduced mod p by one more
+``translate`` before any byte could carry.
 """
 
 from __future__ import annotations
 
 import gc
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
 from math import comb
 from typing import Optional, Sequence
 
+from .encoding import format_integer
 from .errors import CapExceededError, DomainError
 from .fields import FqField, Q_CAP
 from .matrices import FqMatrix, dual_matrix, flatten, kronecker, sym_matrix, wedge_matrix
@@ -59,7 +67,7 @@ class FqMatrixGroup:
 
     def to_json(self, sample: int = 4) -> dict:
         return {
-            "order": str(self.order),
+            "order": format_integer(self.order),
             "generators": [g.to_coeff_rows() for g in self.generators],
             "sample_elements": [m.to_coeff_rows() for m in self.elements[:sample]],
         }
@@ -209,6 +217,12 @@ def burnside_irreducible(gens: Sequence[FqMatrix]) -> BurnsideResult:
     incrementally (multiplying basis elements by generators) until the
     dimension stabilizes; the group itself is never enumerated.
 
+    Vectors are ``bytes`` of entry indices, held as digit-plane integers
+    while terms are added (see the module docstring).  The basis is in
+    echelon form, each row scaled to a pivot entry 1 found by ``lstrip``; a
+    product m*g is the sum over k of the outer products (column k of m) x
+    (row k of g), each one ``join`` of translated rows of g.
+
     An empty generator list is the trivial group (span dimension 1).
     """
     if gens:
@@ -223,45 +237,83 @@ def burnside_irreducible(gens: Sequence[FqMatrix]) -> BurnsideResult:
         raise CapExceededError(f"span dimension {r * r} exceeds the cap {SPAN_DIM_CAP}")
 
     f = field
-    add, mul, neg = f.add_table, f.mul_table, f.neg_table
-    basis: list[tuple[int, ...]] = []  # reduced echelon rows over F_q
-    pivots: list[int] = []
+    p, e, q, n = f.p, f.e, f.q, r * r
+    pad = bytes(256 - q)
+    weights = [p ** (e - 1 - k) for k in range(e)]
+    digit = [bytes(i // w % p for i in range(q)) + pad for w in weights]
+    scale = [bytes(row) + pad for row in f.mul_table]
+    # times[c][k] takes a vector v to digit plane k of c*v
+    times = [[row.translate(t) for t in digit] for row in scale]
+    minus = [times[c] for c in f.neg_table]
+    mod_p = bytes(i % p for i in range(256))
+    room = 255 // (p - 1)  # terms a plane holds before a byte could carry
+    shifts = [8 * (n - 1 - i) for i in range(n)]
 
-    def reduce_and_insert(vec: list[int]) -> Optional[int]:
-        for pivot, row in zip(pivots, basis):
-            c = vec[pivot]
-            if c:
-                times = mul[neg[c]]  # x - c*y = x + (-c)*y
-                vec = [add[x][times[y]] for x, y in zip(vec, row)]
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is None:
-            return None
-        times = mul[f.inv(vec[pivot])]
-        basis.append(tuple(times[x] for x in vec))
-        pivots.append(pivot)
-        return pivot
+    def reduced(planes: list[int]) -> list[int]:
+        return [int.from_bytes(x.to_bytes(n, "big").translate(mod_p), "big") for x in planes]
 
-    identity = FqMatrix.identity(f, r)
-    pending = [identity] + [g for g in gens]
+    def packed(planes: list[int]) -> bytes:
+        return sum(map(operator.mul, weights, planes)).to_bytes(n, "big")
+
+    def product(m: bytes, outer: list) -> list[int]:
+        """Digit planes of m*g, from outer[k][j][c] = plane j of c * (row k of g)."""
+        planes = [0] * e
+        load = 0
+        for k, terms in enumerate(outer):
+            if load == room:
+                planes, load = reduced(planes), 1
+            column = m[k::r]
+            planes = [x + int.from_bytes(b"".join(map(t.__getitem__, column)), "big")
+                      for x, t in zip(planes, terms)]
+            load += 1
+        return reduced(planes)
+
+    basis: list[tuple[int, bytes]] = []  # (shift of the pivot byte, row with pivot 1)
+
+    def reduce_and_insert(planes: list[int]) -> bool:
+        load = 1
+        for shift, row in basis:
+            c = 0
+            for w, x in zip(weights, planes):
+                c += w * (((x >> shift) & 255) % p)
+            if c:  # x - c*y = x + (-c)*y
+                if load == room:
+                    planes, load = reduced(planes), 1
+                planes = [x + int.from_bytes(row.translate(t), "big")
+                          for x, t in zip(planes, minus[c])]
+                load += 1
+        planes = reduced(planes)
+        if not any(planes):
+            return False
+        vec = packed(planes)
+        pivot = n - len(vec.lstrip(b"\0"))
+        basis.append((shifts[pivot], vec.translate(scale[f.inv(vec[pivot])])))
+        return True
+
+    flat = [bytes(flatten(g)) for g in gens]
+    # outer[k][j][c]: digit plane j of c * (row k of g), for each generator g
+    outers = [[[[g[k * r:(k + 1) * r].translate(t[j]) for t in times] for j in range(e)]
+               for k in range(r)] for g in flat]
+    identity = bytes(flatten(FqMatrix.identity(f, r)))
     members = []
-    for m in pending:
-        if reduce_and_insert(list(flatten(m))) is not None:
-            members.append(m)
-    frontier = list(members)
-    while frontier and len(basis) < r * r:
+    for v in [identity] + flat:
+        if reduce_and_insert([int.from_bytes(v.translate(t), "big") for t in digit]):
+            members.append(v)
+    frontier = members
+    while frontier and len(basis) < n:
         new = []
         for m in frontier:
-            for g in gens:
-                prod = m * g
-                if reduce_and_insert(list(flatten(prod))) is not None:
-                    new.append(prod)
-                    if len(basis) == r * r:
+            for outer in outers:
+                planes = product(m, outer)
+                if reduce_and_insert(planes):
+                    new.append(packed(planes))
+                    if len(basis) == n:
                         break
-            if len(basis) == r * r:
+            if len(basis) == n:
                 break
         frontier = new
     span = len(basis)
-    return BurnsideResult(span == r * r, span)
+    return BurnsideResult(span == n, span)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .encoding import format_integer
 from .errors import CapExceededError, DomainError
 from .groups import FqMatrixGroup
 from .matrices import FqMatrix
@@ -231,9 +232,9 @@ class JordanCertificate:
 
     def to_json(self) -> dict:
         return {
-            "N_order": str(self.order),
-            "index": str(self.index),
-            "bound": str(self.bound),
+            "N_order": format_integer(self.order),
+            "index": format_integer(self.index),
+            "bound": format_integer(self.bound),
             "holds": self.holds,
         }
 

@@ -12,7 +12,10 @@ from the main implementation, for cross-checking:
   * reducibility of a 2-dimensional matrix group by searching for a common
     eigenvector over the quadratic extension (against the algebra span test);
     the group is enumerated here by its own search over 2x2 entry tuples,
-    not by the packed closure in bundlecalc.groups.
+    not by the packed closure in bundlecalc.groups;
+  * the dimension of the span of a matrix group by enumerating the group
+    over entry tuples and eliminating its flattened elements as lists
+    (against the byte-packed algebra span test, which never enumerates it).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .chern import ChernData
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 from .fields import FqField, make_field
 from .matrices import FqMatrix
 
@@ -287,3 +290,57 @@ def reducible_by_common_eigenvector(gens: Sequence[FqMatrix]) -> bool:
         if ok:
             return True
     return False
+
+
+# -- matrix-algebra span by group enumeration -----------------------------
+
+def span_by_enumeration(gens: Sequence[FqMatrix], limit: int = 4096) -> int:
+    """Dimension of the linear span of the group generated by the r x r
+    matrices: its own breadth-first search over flattened entry tuples with
+    the field's add and mul, then the rank of the elements by elimination on
+    lists.  Groups of more than ``limit`` elements raise CapExceededError."""
+    field = gens[0].field
+    r = gens[0].n
+    n = r * r
+    add, mul = field.add, field.mul
+    gs = [tuple(x for row in g.rows for x in row) for g in gens]
+
+    def times(a: tuple, b: tuple) -> tuple:
+        out = []
+        for i in range(0, n, r):
+            for j in range(r):
+                acc = field.zero
+                for k in range(r):
+                    acc = add(acc, mul(a[i + k], b[k * r + j]))
+                out.append(acc)
+        return tuple(out)
+
+    start = tuple(field.one if i % (r + 1) == 0 else field.zero for i in range(n))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in gs:
+                c = times(a, b)
+                if c not in seen:
+                    seen.add(c)
+                    new.append(c)
+        if len(seen) > limit:
+            raise CapExceededError(f"group has more than {limit} elements")
+        frontier = new
+
+    rows: list[tuple[int, list[int]]] = []  # (pivot, row with a 1 there)
+    for v in sorted(seen):
+        v = list(v)
+        for pivot, row in rows:
+            c = v[pivot]
+            if c:
+                v = [field.sub(x, mul(c, y)) for x, y in zip(v, row)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            inv = field.inv(v[pivot])
+            rows.append((pivot, [mul(inv, x) for x in v]))
+            if len(rows) == n:
+                break
+    return len(rows)

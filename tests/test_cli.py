@@ -1,7 +1,13 @@
 import json
+import sys
 import time
+from fractions import Fraction
 
+import pytest
+
+from bundlecalc import CapExceededError
 from bundlecalc.cli import main
+from bundlecalc.encoding import format_integer, format_rational
 
 
 def run(capsys, *argv):
@@ -248,3 +254,38 @@ class TestDeterminism:
         first = [run(capsys, *argv) for argv in self.CASES]
         second = [run(capsys, *argv) for argv in self.CASES]
         assert first == second
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default 4300-digit int-to-str limit, whatever the environment sets."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+class TestOutputDigitLimit:
+    """Numbers past the int-to-str limit end in a cap error, exit 3."""
+
+    CASES = [
+        ["bounds", "jordan", "--r", "41", "--mode", "schur"],
+        ["hn", "frobscale", "--p", "2", "--n", "1000000", "--deg", "1"],
+        ["chern", "sym", "--rank", "3", "--n", "1" + "0" * 2200],
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=["schur", "frobscale", "sym"])
+    def test_cap_error(self, capsys, digit_limit, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "cap_exceeded"
+
+    def test_format_functions(self, digit_limit):
+        with pytest.raises(CapExceededError, match="4300 decimal digits"):
+            format_integer(10 ** 4300)
+        with pytest.raises(CapExceededError, match="4300 decimal digits"):
+            format_rational(Fraction(1, 10 ** 4300))
+        assert format_integer(10 ** 4299) == "1" + "0" * 4299

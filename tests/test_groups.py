@@ -16,9 +16,9 @@ from bundlecalc import (
     sl2_generate,
 )
 from bundlecalc import groups
-from bundlecalc.groups import apply_matrix_functor, sl2_elementary_generators
+from bundlecalc.groups import BurnsideResult, apply_matrix_functor, sl2_elementary_generators
 from bundlecalc.matrices import dual_matrix, kronecker, sym_matrix, wedge_matrix
-from bundlecalc.oracles import reducible_by_common_eigenvector, sl2_by_filter
+from bundlecalc.oracles import reducible_by_common_eigenvector, sl2_by_filter, span_by_enumeration
 
 
 class TestSl2Generation:
@@ -109,6 +109,147 @@ class TestBurnside:
         ]
         assert not burnside_irreducible(upper).irreducible
         assert reducible_by_common_eigenvector(upper)
+
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (3, 3)]
+ORACLE_LIMIT = 2000  # group elements the enumeration oracle may visit
+
+
+def _random_gl(rng, field, r):
+    while True:
+        m = FqMatrix(field, [[rng.randrange(field.q) for _ in range(r)] for _ in range(r)])
+        if m.is_invertible():
+            return m
+
+
+def _signed_permutation(rng, field, r):
+    perm = rng.sample(range(r), r)
+    signs = (field.one, field.neg(field.one))
+    return FqMatrix(field, [[rng.choice(signs) if j == perm[i] else field.zero
+                             for j in range(r)] for i in range(r)])
+
+
+def _block_diagonal(a, b):
+    zero = a.field.zero
+    rows = [list(row) + [zero] * b.n for row in a.rows]
+    rows += [[zero] * a.n + list(row) for row in b.rows]
+    return FqMatrix(a.field, rows)
+
+
+def _kinds(r):
+    """Recipe shapes for dimension r; random generators of dimension >= 3
+    mostly generate groups far above the oracle's limit."""
+    if r == 1:
+        return ["random"]
+    return ["monomial", "block", "sl2p", "sym_sl2p"] + (["random"] if r == 2 else [])
+
+
+def _recipe(rng, field, r, kind=None):
+    """Generators of a matrix group of one of several shapes, most of them
+    small: signed permutations, Sym^(r-1) of SL(2, F_p), SL(2, F_p) on a
+    block, block sums (reducible), or random matrices."""
+    count = rng.randint(1, 3)
+    kind = kind or rng.choice(_kinds(r))
+    if kind == "monomial":
+        return [_signed_permutation(rng, field, r) for _ in range(count)]
+    if kind == "random":
+        return [_random_gl(rng, field, r) for _ in range(count)]
+    sl2p = [FqMatrix.from_ints(field, m) for m in ([[1, 1], [0, 1]], [[1, 0], [1, 1]])]
+    if kind == "sym_sl2p":
+        return [sym_matrix(g, r - 1) for g in sl2p]
+    if kind == "sl2p":
+        if r == 2:
+            return sl2p
+        rest = FqMatrix.identity(field, r - 2)
+        return [_block_diagonal(g, rest) for g in sl2p]
+    a = rng.randint(1, r - 1)
+    top, bottom = _recipe(rng, field, a), _recipe(rng, field, r - a)
+    return [_block_diagonal(top[i % len(top)], bottom[i % len(bottom)])
+            for i in range(max(len(top), len(bottom)))]
+
+
+def _conjugated(rng, gens):
+    g = _random_gl(rng, gens[0].field, gens[0].n)
+    gi = g.inverse()
+    return [g * m * gi for m in gens]
+
+
+def _oracle_span(gens):
+    """The enumeration oracle's span, or None for a group over the limit."""
+    try:
+        return span_by_enumeration(gens, ORACLE_LIMIT)
+    except CapExceededError:
+        return None
+
+
+class TestSpanOracle:
+    """The byte-packed span test against enumeration of the group."""
+
+    @pytest.mark.parametrize("p,e", ORACLE_FIELDS)
+    def test_dimensions_one_to_four(self, p, e):
+        field = make_field(p, e)
+        rng = random.Random(f"span/{p}/{e}")
+        outcomes = set()
+        for r in range(1, 5):
+            for kind in _kinds(r) * 2:
+                span = None
+                while span is None:
+                    gens = _conjugated(rng, _recipe(rng, field, r, kind))
+                    span = _oracle_span(gens)
+                assert burnside_irreducible(gens) == BurnsideResult(span == r * r, span), gens
+                outcomes.add(span == r * r)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("p", [79, 73, 31])
+    def test_large_characteristic(self, p):
+        # only a few terms fit in a byte plane here (3 at p = 79), so sums
+        # and products are reduced mod p many times along the way
+        field = make_field(p, 1)
+        rng = random.Random(f"span/{p}")
+        cases = [_recipe(rng, field, r, "monomial") for r in (2, 3, 4, 4, 4)]
+        for a, b in [(1, 1), (2, 2), (1, 3), (3, 1), (2, 2)]:  # reducible block sums
+            top, bottom = _recipe(rng, field, a, "monomial"), _recipe(rng, field, b, "monomial")
+            cases.append([_block_diagonal(x, y) for x, y in zip(top * 3, bottom * 3)])
+        spans = []
+        for gens in cases:
+            gens = _conjugated(rng, gens)
+            r = gens[0].n
+            span = _oracle_span(gens)
+            assert burnside_irreducible(gens) == BurnsideResult(span == r * r, span)
+            spans.append(span)
+        assert 16 in spans and any(6 <= s < 16 for s in spans), spans
+
+    @pytest.mark.parametrize("functor,n,r", [
+        ("sym", 2, 2), ("sym", 2, 3), ("sym", 3, 2), ("wedge", 2, 3), ("wedge", 2, 4),
+        ("tensor_with", 0, 2),
+    ])
+    def test_functor_images(self, functor, n, r):
+        rng = random.Random(f"span/{functor}/{n}/{r}")
+        dims = set()
+        for p, e in ORACLE_FIELDS[:6]:
+            field = make_field(p, e)
+            checked = 0
+            while checked < 2:
+                gens = _conjugated(rng, _recipe(rng, field, r))
+                others = _conjugated(rng, _recipe(rng, field, r))
+                images = [apply_matrix_functor(g, functor, n, others[i % len(others)])
+                          for i, g in enumerate(gens)]
+                span = _oracle_span(images)
+                if span is None:
+                    continue
+                d = images[0].n
+                assert burnside_irreducible(images) == BurnsideResult(span == d * d, span)
+                dims.add(span)
+                checked += 1
+        assert len(dims) > 1
+
+    @pytest.mark.parametrize("n,span", [(3, 79), (4, 135)])
+    def test_sym_of_sl3_generators_over_f3(self, n, span):
+        field = make_field(3, 1)
+        gens = [FqMatrix.from_ints(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                FqMatrix.from_ints(field, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])]
+        images = [sym_matrix(g, n) for g in gens]
+        assert burnside_irreducible(images) == BurnsideResult(False, span)
 
 
 class TestFreeGroupReps:
