@@ -46,6 +46,13 @@ def _json_arg(raw: str, what: str):
         raise DomainError(f"{what} is not valid JSON: {exc}", code="bad_json")
 
 
+def _json_list(raw: str, what: str) -> list:
+    data = _json_arg(raw, what)
+    if not isinstance(data, list):
+        raise DomainError(f"{what} must be a JSON list", code="bad_json")
+    return data
+
+
 def _chern_from_flags(args) -> chern.ChernData:
     return chern.ChernData(
         parse_integer(args.rank),
@@ -199,12 +206,10 @@ def _cmd_bounds(args, cfg) -> dict:
             "t": format_integer(t),
             "variant": args.variant,
         }
-    summands = [
-        chern.ChernData.from_json(s) for s in _json_arg(args.summands, "--summands")
-    ]
+    summands = [chern.ChernData.from_json(s) for s in _json_list(args.summands, "--summands")]
     deltas = None
     if args.deltas is not None:
-        deltas = [parse_rational(d) for d in _json_arg(args.deltas, "--deltas")]
+        deltas = [parse_rational(d) for d in _json_list(args.deltas, "--deltas")]
     ranks = sorted({s.rank for s in summands if s.rank >= 2})
     amb = cfg.ambient
     if args.beta is not None and len(ranks) == 1:
@@ -251,9 +256,13 @@ def _cmd_serre(args, cfg) -> dict:
     raw = _json_arg(args.plan, "--plan")
     if not isinstance(raw, dict):
         raise DomainError("--plan must be a JSON object", code="bad_plan")
-    extra = set(raw) - {"n", "q_degree", "h0_QM", "lz_min", "c2_min", "stability_floor"}
+    required = {"n", "q_degree", "h0_QM", "lz_min", "c2_min"}
+    extra = set(raw) - required - {"stability_floor"}
     if extra:
         raise DomainError(f"unknown plan fields: {sorted(extra)}", code="bad_plan")
+    missing = required - set(raw)
+    if missing:
+        raise DomainError(f"missing plan fields: {sorted(missing)}", code="bad_plan")
     p = serre.SerrePlan(
         n=parse_integer(raw["n"]),
         q_degree=parse_integer(raw["q_degree"]),

@@ -88,9 +88,12 @@ class FqField:
             raise DomainError(f"characteristic {p} is not prime", code="not_prime")
         if e < 1:
             raise DomainError("extension degree must be >= 1", code="bad_field")
+        # p^e > Q_CAP already when e > log2(Q_CAP), so p^e is formed (and
+        # the message renders the inputs, not p^e) only under the cap
+        if p ** min(e, Q_CAP.bit_length()) > Q_CAP:
+            size = p if e == 1 else f"{p}^{e}"
+            raise CapExceededError(f"field size {size} exceeds the cap {Q_CAP}")
         q = p ** e
-        if q > Q_CAP:
-            raise CapExceededError(f"field size {q} exceeds the cap {Q_CAP}")
         if modulus is None:
             modulus = default_modulus(p, e)
         else:

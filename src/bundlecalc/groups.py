@@ -1,17 +1,49 @@
-"""Finite matrix groups from generators: closure enumeration, the two-
-elementary-matrix generation of SL(2, F_q), the Burnside matrix-algebra
-span test for absolute irreducibility, and free-group representations as
-desk-scale models of finite covers with their holonomy (image) groups.
+"""Finite matrix groups from generators: a stabilizer chain for order,
+membership and full holonomy, closure enumeration, the two-elementary-matrix
+generation of SL(2, F_q), the Burnside matrix-algebra span test for absolute
+irreducibility, and free-group representations as desk-scale models of
+finite covers with their holonomy (image) groups.
 
 All enumerations are returned in the canonical sorted order (lexicographic
 on entry-index rows), so repeated runs are bit-identical.
 
-The closure runs on packed matrices: a row is a base-q integer of its entry
-indices and a matrix a base-q^r integer of its rows, both big-endian, so
-integer order is the canonical row order.  Right multiplication by a
-generator maps each row independently, through a per-generator table from
-packed row to packed row that is filled as rows are met.  The FqMatrix
-objects are built once, from the sorted packed set.
+Rows are packed: a row is a base-q integer of its entry indices, big-endian,
+so integer order is the canonical row order, and a matrix is a tuple (in the
+closure, a base-q^r integer) of its rows.  Right multiplication by a matrix
+g maps each row independently, through a table from packed row to packed
+row that is filled as rows are met (``_RowAction``).
+
+The stabilizer chain is deterministic Schreier-Sims (Sims 1970; Seress,
+*Permutation Group Algorithms*, ch. 4) for the right action of matrices on
+row vectors, with base e_1, ..., e_n.  Level i holds the orbit of e_i under
+the strong generators that fix e_1, ..., e_(i-1), found breadth-first, with
+a Schreier vector: each orbit point keeps its parent point and the index of
+the generator that maps the parent to it.  A transversal element (from e_i
+to a point) is built only when needed, from the path back to the root, and
+sifting walks back to the root with inverse generators.  Every (orbit
+point, strong generator) pair is sifted, deepest level first; a Schreier
+generator that does not sift to the identity joins the strong generators.
+
+The chain stops early, exactly.  With D the subgroup of F_q^* generated by
+the generators' determinants, G lies in {g : det g in D}, so
+|G| <= |SL(n, q)| |D|; and the product of the orbit lengths of any partial
+chain is at most |G| (level i's group acts on an orbit whose stabilizer
+contains level i+1's group).  Once the product reaches the upper bound,
+both bounds are |G|: every orbit is complete and each level's group is the
+full stabilizer of the one above, so the order, sifting and the descent
+below are valid without checking the remaining pairs.  Once the product
+exceeds the closure cap, the group is over the cap.
+
+The order is the product of the orbit lengths.  Because row i of g is
+e_i g, an element is fixed by its rows level by level: row i ranges over
+the orbit at level i mapped by the transversal elements chosen above, so
+the first elements in canonical order come from a best-first descent of
+the chain.  The full element list is enumerated by ``closure`` only when
+asked for (the multiplication tables of ``grouptables`` and the oracles).
+
+The closure is a breadth-first search on packed matrices, which keeps its
+frontier as one list of packed rows per row position.  The FqMatrix objects
+are built once, from the sorted packed set.
 
 The span test runs on whole rows as well: a flattened matrix is one
 ``bytes`` of entry indices (q <= 81 < 256).  Scaling is one
@@ -23,59 +55,26 @@ terms, each plane one big integer, and reduced mod p by one more
 from __future__ import annotations
 
 import gc
+import heapq
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
-from math import comb
+from math import comb, prod
 from typing import Optional, Sequence
 
 from .encoding import format_integer
 from .errors import CapExceededError, DomainError
-from .fields import FqField, Q_CAP
+from .fields import FqField
 from .matrices import FqMatrix, dual_matrix, flatten, kronecker, sym_matrix, wedge_matrix
 
 CLOSURE_CAP = 10 ** 6
 SPAN_DIM_CAP = 256
 
 
-@dataclass(frozen=True)
-class FqMatrixGroup:
-    """A finite matrix group: generators plus its full sorted element set."""
-
-    field: FqField
-    dim: int
-    generators: tuple[FqMatrix, ...]
-    elements: tuple[FqMatrix, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def element_set(self) -> frozenset[FqMatrix]:
-        return frozenset(self.elements)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FqMatrixGroup)
-            and self.field == other.field
-            and self.elements == other.elements
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.elements))
-
-    def to_json(self, sample: int = 4) -> dict:
-        return {
-            "order": format_integer(self.order),
-            "generators": [g.to_coeff_rows() for g in self.generators],
-            "sample_elements": [m.to_coeff_rows() for m in self.elements[:sample]],
-        }
-
-
 class _RowAction(dict):
-    """Packed row v -> packed row v * g for one generator g, computed from
-    the field tables the first time v is met."""
+    """Packed row v -> packed row v * g for one matrix g, computed from the
+    field tables the first time v is met."""
 
     def __init__(self, g: FqMatrix, places: list[int]):
         super().__init__()
@@ -97,15 +96,8 @@ class _RowAction(dict):
         return out
 
 
-def closure(generators: Sequence[FqMatrix], cap: int = CLOSURE_CAP) -> tuple[FqMatrix, ...]:
-    """Multiplicative closure of the generators, sorted canonically.
-
-    In a finite matrix group, closing under products from the identity
-    already yields the generated subgroup (inverses are powers).  The
-    breadth-first search multiplies every element by every generator once,
-    a whole level per generator at a time: the frontier is kept as one list
-    of packed rows per row position.
-    """
+def _common_space(generators: Sequence[FqMatrix]) -> tuple[FqField, int]:
+    """The field and dimension shared by invertible generators."""
     if not generators:
         raise DomainError("at least one generator required", code="no_generators")
     field = generators[0].field
@@ -115,6 +107,269 @@ def closure(generators: Sequence[FqMatrix], cap: int = CLOSURE_CAP) -> tuple[FqM
             raise DomainError("generators must share a field and dimension", code="bad_matrix")
         if not g.is_invertible():
             raise DomainError("generators must be invertible", code="not_invertible")
+    return field, n
+
+
+def _order_bound(field: FqField, n: int, generators: Sequence[FqMatrix]) -> int:
+    """|SL(n, q)| |D|, D the subgroup of F_q^* the determinants generate."""
+    q, mul = field.q, field.mul_table
+    dets = {g.det() for g in generators}
+    group = {field.one}
+    frontier = [field.one]
+    while frontier:
+        frontier = [y for y in {mul[x][d] for x in frontier for d in dets} if y not in group]
+        group.update(frontier)
+    return q ** (n * (n - 1) // 2) * prod(q ** i - 1 for i in range(2, n + 1)) * len(group)
+
+
+class StabilizerChain:
+    """A stabilizer chain of the group generated by invertible matrices,
+    for the right action on row vectors with base e_1, ..., e_n (see the
+    module docstring).  Raises CapExceededError as soon as the group is
+    proved to have more than ``cap`` elements."""
+
+    def __init__(self, generators: Sequence[FqMatrix], cap: int = CLOSURE_CAP):
+        self.generators = tuple(generators)
+        self.field, self.n = field, n = _common_space(self.generators)
+        self.cap = cap
+        q = field.q
+        self.places = [q ** (n - 1 - j) for j in range(n)]
+        self.base = tuple(field.one * p for p in self.places)  # e_1, ..., e_n packed
+        self._acts: list[_RowAction] = []  # the strong generators
+        self._inverse_acts: list[_RowAction] = []
+        self._gens: list[list[int]] = [[] for _ in range(n)]  # level -> strong generators
+        self._trees: list[dict] = [{b: None} for b in self.base]  # point -> (parent, generator)
+        self._points: list[list[int]] = [[b] for b in self.base]  # breadth-first order
+        self._paired: list[list[int]] = [[0] for _ in range(n)]  # per point: generators sifted
+        self._first = [0] * n  # per level, no unsifted pair before this point
+        self._transversal = [{b: self.base} for b in self.base]
+        self._bound = _order_bound(field, n, self.generators)
+        self._size = 1  # the product of the orbit lengths
+        if cap < 1:  # the identity alone is over the cap
+            self._over_cap()
+        for g in self.generators:
+            self._add_generator(g, 0)
+        if not self._extend(list(range(n - 1, -1, -1))):
+            self._schreier_sims()
+
+    @property
+    def order(self) -> int:
+        return self._size
+
+    def _over_cap(self):
+        raise CapExceededError(f"group closure exceeded the element cap {self.cap}")
+
+    def _add_generator(self, g: FqMatrix, top: int) -> None:
+        """Make g a strong generator of levels top, ..., d, where e_d is the
+        first base point g moves (none for the identity)."""
+        act = _RowAction(g, self.places)
+        depth = next((i for i, b in enumerate(self.base) if act[b] != b), self.n)
+        if depth < self.n:
+            k = len(self._acts)
+            self._acts.append(act)
+            self._inverse_acts.append(_RowAction(g.inverse(), self.places))
+            for level in range(top, depth + 1):
+                self._gens[level].append(k)
+                self._first[level] = 0
+
+    def _extend(self, levels: list[int]) -> bool:
+        """Grow the orbits of the given levels under their generators; True
+        once the product of the orbit lengths reaches the upper bound."""
+        for level in levels:
+            tree, points, paired = self._trees[level], self._points[level], self._paired[level]
+            others = self._size // len(points)
+            limit = self.cap // others
+            target = self._bound // others if self._bound % others == 0 else 0
+            acts = [(k, self._acts[k]) for k in self._gens[level]]
+            i = 0  # the tables already hold the images met before
+            while i < len(points):
+                pt = points[i]
+                for k, act in acts:
+                    img = act[pt]
+                    if img not in tree:
+                        tree[img] = (pt, k)
+                        points.append(img)
+                        paired.append(0)
+                        size = len(points)
+                        if size > limit:
+                            self._over_cap()
+                        if size == target:
+                            self._size = size * others
+                            return True
+                i += 1
+            self._size = len(points) * others
+        return False
+
+    def _schreier_sims(self) -> None:
+        """Sift every (orbit point, strong generator) pair, deepest level
+        first, until all sift to the identity or the order is exact.  The
+        last level has none to sift: an element of its group that fixes
+        e_n fixes every base point, so it is the identity."""
+        n = self.n
+        level = n - 2
+        while level >= 0:
+            points, paired, gens = self._points[level], self._paired[level], self._gens[level]
+            j = self._first[level]
+            while j < len(points) and paired[j] == len(gens):
+                j += 1
+            self._first[level] = j
+            if j == len(points):
+                level -= 1
+                continue
+            pt, k = points[j], gens[paired[j]]
+            paired[j] += 1
+            act = self._acts[k]
+            if self._trees[level][act[pt]] == (pt, k):
+                continue  # a tree edge: the Schreier generator is the identity
+            h, depth = self._sift([act[r] for r in self._transversal_rows(level, pt)], level)
+            if depth < n:
+                self._add_generator(self._matrix(h), level + 1)
+                if self._extend(list(range(depth, level, -1))):
+                    return
+                level = depth
+
+    def _transversal_rows(self, level: int, point: int) -> tuple[int, ...]:
+        """Rows of the transversal element of the level that takes its base
+        point to the point: the product of the generators on the Schreier
+        vector path, built on first use and cached."""
+        cache, tree = self._transversal[level], self._trees[level]
+        path = []
+        while point not in cache:
+            parent, k = tree[point]
+            path.append((point, k))
+            point = parent
+        rows = cache[point]
+        for point, k in reversed(path):
+            act = self._acts[k]
+            rows = cache[point] = tuple(act[r] for r in rows)
+        return rows
+
+    def _sift(self, h: list[int], level: int = 0) -> tuple[list[int], int]:
+        """Sift packed rows h from the level down: while row i of h lies in
+        the orbit at level i, walk it back to e_i with inverse generators.
+        Returns the residue and the level it stopped at: n when h is in the
+        group, and the residue is then the identity."""
+        n = self.n
+        for i in range(level, n):
+            tree, beta = self._trees[i], self.base[i]
+            point = h[i]
+            if point not in tree:
+                return h, i
+            if i == n - 1:  # walking back would only restore row n - 1
+                return list(self.base), n
+            rest = h[i + 1:]  # rows 1..i end on the base points
+            while point != beta:
+                point, k = tree[point]
+                rest = list(map(self._inverse_acts[k].__getitem__, rest))
+            h = list(self.base[:i + 1]) + rest
+        return h, n
+
+    def _matrix(self, rows) -> FqMatrix:
+        q = self.field.q
+        return FqMatrix._make(self.field, tuple(tuple(r // p % q for p in self.places)
+                                                for r in rows))
+
+    def contains(self, m: FqMatrix) -> bool:
+        """Membership of a matrix of the chain's field and dimension, by sifting."""
+        rows = [sum(map(operator.mul, row, self.places)) for row in m.rows]
+        return self._sift(rows)[1] == self.n
+
+    def smallest(self, k: int) -> list[FqMatrix]:
+        """The first k elements in canonical order, by a best-first descent.
+
+        Below a choice of rows 1..i, row i+1 of an element is a point of the
+        orbit at level i+1 mapped by c, the product of the transversal
+        elements chosen so far (the deepest on the left); choosing a point
+        multiplies its transversal element onto c from the left.  Each
+        choice leads to at least one element, so a level needs only its
+        k smallest images."""
+        found: list[tuple[int, ...]] = []
+        last = self.n - 1
+
+        def descend(level: int, c: Optional[_RowAction], rows: tuple[int, ...]) -> None:
+            points = self._points[level]
+            images = points if c is None else map(c.__getitem__, points)
+            for image, point in heapq.nsmallest(k - len(found), zip(images, points)):
+                if level == last:
+                    found.append(rows + (image,))
+                else:
+                    u = self._transversal_rows(level, point)
+                    below = u if c is None else [c[r] for r in u]
+                    descend(level + 1, _RowAction(self._matrix(below), self.places),
+                            rows + (image,))
+                if len(found) == k:
+                    return
+
+        if k > 0:
+            descend(0, None, ())
+        return [self._matrix(rows) for rows in found]
+
+
+class FqMatrixGroup:
+    """A finite matrix group given by generators, answered from its
+    stabilizer chain: the order, membership (``m in group``) and the first
+    elements in canonical order.  The sorted element list is enumerated by
+    ``closure`` on first access to ``elements`` and cached; it may instead
+    be supplied, and is then taken as given."""
+
+    def __init__(self, field: FqField, dim: int, generators: Sequence[FqMatrix],
+                 elements: Optional[Sequence[FqMatrix]] = None,
+                 chain: Optional[StabilizerChain] = None):
+        self.field = field
+        self.dim = dim
+        self.generators = tuple(generators)
+        self._elements = None if elements is None else tuple(elements)
+        self._chain = chain
+
+    @property
+    def chain(self) -> StabilizerChain:
+        if self._chain is None:
+            self._chain = StabilizerChain(self.generators)
+        return self._chain
+
+    @property
+    def order(self) -> int:
+        return self.chain.order
+
+    @property
+    def elements(self) -> tuple[FqMatrix, ...]:
+        if self._elements is None:
+            self._elements = closure(self.generators, self.chain.cap)
+        return self._elements
+
+    def __contains__(self, m: FqMatrix) -> bool:
+        return m.field == self.field and m.n == self.dim and self.chain.contains(m)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FqMatrixGroup)
+            and self.field == other.field
+            and self.dim == other.dim
+            and self.order == other.order
+            and all(g in self for g in other.generators)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.dim, self.order))
+
+    def to_json(self, sample: int = 4) -> dict:
+        return {
+            "order": format_integer(self.order),
+            "generators": [g.to_coeff_rows() for g in self.generators],
+            "sample_elements": [m.to_coeff_rows() for m in self.chain.smallest(sample)],
+        }
+def closure(generators: Sequence[FqMatrix], cap: int = CLOSURE_CAP) -> tuple[FqMatrix, ...]:
+    """Multiplicative closure of the generators, sorted canonically: the
+    enumerator behind ``FqMatrixGroup.elements``, and an order oracle for
+    the stabilizer chain.
+
+    In a finite matrix group, closing under products from the identity
+    already yields the generated subgroup (inverses are powers).  The
+    breadth-first search multiplies every element by every generator once,
+    a whole level per generator at a time: the frontier is kept as one list
+    of packed rows per row position.
+    """
+    field, n = _common_space(generators)
     q = field.q
     radix = q ** n
     places = [q ** (n - 1 - j) for j in range(n)]  # of the entries in a row
@@ -163,9 +418,10 @@ def _gc_paused():
 
 
 def group_from_generators(generators: Sequence[FqMatrix], cap: int = CLOSURE_CAP) -> FqMatrixGroup:
-    gens = tuple(generators)
-    elements = closure(gens, cap)
-    return FqMatrixGroup(gens[0].field, gens[0].n, gens, elements)
+    """The group generated, with its stabilizer chain built (so a group of
+    more than ``cap`` elements raises CapExceededError here)."""
+    chain = StabilizerChain(generators, cap)
+    return FqMatrixGroup(chain.field, chain.n, chain.generators, chain=chain)
 
 
 def sl2_elementary_generators(field: FqField) -> list[FqMatrix]:
@@ -188,17 +444,17 @@ def sl2_elementary_generators(field: FqField) -> list[FqMatrix]:
 
 
 def sl2_generate(field: FqField, cap: int = CLOSURE_CAP) -> FqMatrixGroup:
-    """SL(2, F_q) as the closure of its elementary transvection generators;
-    every element is checked to have determinant 1."""
-    if field.q > Q_CAP:
-        raise CapExceededError(f"field size {field.q} exceeds the cap {Q_CAP}")
-    group = group_from_generators(sl2_elementary_generators(field), cap)
-    one = field.one
-    add, mul, neg = field.add_table, field.mul_table, field.neg_table
-    for m in group.elements:
-        (a, b), (c, d) = m.rows
-        if add[mul[a][d]][neg[mul[b][c]]] != one:
-            raise DomainError("closure produced a non-unimodular element", code="internal")
+    """SL(2, F_q) as the group of its elementary transvection generators.
+
+    The generators are checked to have determinant 1 and the chain order to
+    be q^3 - q; together these prove the group is all of SL(2, F_q)."""
+    gens = sl2_elementary_generators(field)
+    if any(g.det() != field.one for g in gens):
+        raise DomainError("an SL(2) generator is not unimodular", code="internal")
+    group = group_from_generators(gens, cap)
+    q = field.q
+    if group.order != q ** 3 - q:
+        raise DomainError("the SL(2) generators do not generate SL(2, F_q)", code="internal")
     return group
 
 
@@ -356,12 +612,16 @@ def holonomy(
     target: Optional[FqMatrixGroup] = None,
     cap: int = CLOSURE_CAP,
 ) -> HolonomyResult:
-    """Image closure of the representation; with a target group supplied,
-    also reports whether the image is the whole target (full holonomy)."""
+    """Image group of the representation; with a target group supplied,
+    also reports whether the image is the whole target (full holonomy):
+    the same field and dimension, equal orders, and every image in the
+    target by sifting.  Neither group is enumerated."""
     group = group_from_generators(rep.images, cap)
     full = None
     if target is not None:
-        full = group.element_set() == target.element_set()
+        full = (group.field == target.field and group.dim == target.dim
+                and group.order == target.order
+                and all(m in target for m in rep.images))
     return HolonomyResult(group, full)
 
 

@@ -1,11 +1,12 @@
 import json
+import random
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from bundlecalc import CapExceededError
+from bundlecalc import CapExceededError, FqMatrix, make_field
 from bundlecalc.cli import main
 from bundlecalc.encoding import format_integer, format_rational
 
@@ -200,11 +201,53 @@ class TestHolCommands:
         payload = json.loads(out)
         assert payload == {"N_order": "2", "index": "12", "bound": "384064", "holds": True}
 
+    def test_a_random_gl3_pair_exits_3_quickly(self, capsys):
+        # two random matrices almost surely generate a group far over the
+        # closure cap; the stabilizer chain proves it without enumerating
+        rng = random.Random("cli/gl3/7")
+        field = make_field(7, 1)
+        images = []
+        while len(images) < 2:
+            m = [[rng.randrange(7) for _ in range(3)] for _ in range(3)]
+            if FqMatrix.from_ints(field, m).is_invertible():
+                images.append(m)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hol", "holonomy", "--p", "7", "--images", json.dumps(images))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "cap_exceeded",
+                                   "message": "group closure exceeded the element cap 1000000"}
+
     def test_coefficient_vector_entries(self, capsys):
         gens = '[[[[1, 0], [0, 1]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[1, 1], [1, 0]]]]'
         code, out, _ = run(capsys, "hol", "irreducible", "--p", "2", "--e", "2",
                            "--gens", gens)
         assert code == 0 and json.loads(out)["irreducible"] is True
+
+
+class TestJsonShapes:
+    """JSON of the wrong shape is a domain error at the CLI boundary."""
+
+    @pytest.mark.parametrize("raw", ["7", "0.5", "true", "null", '"abc"', '{"rank": "2"}'])
+    @pytest.mark.parametrize("flag", ["--summands", "--deltas"])
+    def test_a_report_list_that_is_not_a_list(self, capsys, flag, raw):
+        argv = ["bounds", "report", "--summands", '[{"rank": "2", "c2": "3"}]']
+        if flag == "--summands":
+            argv[-1] = raw
+        else:
+            argv += ["--deltas", raw]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "bad_json", "message": f"{flag} must be a JSON list"}
+
+    @pytest.mark.parametrize("plan,missing", [
+        ("{}", ["c2_min", "h0_QM", "lz_min", "n", "q_degree"]),
+        ('{"n": "1", "q_degree": "2", "h0_QM": "1", "lz_min": "1"}', ["c2_min"]),
+    ])
+    def test_a_serre_plan_with_missing_fields(self, capsys, plan, missing):
+        code, out, err = run(capsys, "serre", "check", "--m-degree", "1", "--plan", plan)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "bad_plan", "message": f"missing plan fields: {missing}"}
 
 
 class TestMalformedInputsNeverPanic:
@@ -282,6 +325,14 @@ class TestOutputDigitLimit:
         assert (code, out) == (3, "")
         assert "Traceback" not in err
         assert json.loads(err)["error"] == "cap_exceeded"
+
+    @pytest.mark.parametrize("p,e,size", [("3", "10000", "3^10000"), ("2", "7", "2^7"),
+                                          ("3", "5", "3^5"), ("101", "1", "101")])
+    def test_the_field_cap_comes_before_p_to_the_e(self, capsys, digit_limit, p, e, size):
+        code, out, err = run(capsys, "hol", "sl2", "--p", p, "--e", e)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "cap_exceeded",
+                                   "message": f"field size {size} exceeds the cap 81"}
 
     def test_format_functions(self, digit_limit):
         with pytest.raises(CapExceededError, match="4300 decimal digits"):

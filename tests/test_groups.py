@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -57,10 +58,16 @@ class TestSl2Generation:
 
     def test_a_non_unimodular_element_is_caught(self, monkeypatch):
         field = make_field(5, 1)
-        scaled = FqMatrix.from_ints(field, [[1, 0], [0, 2]])
-        real_closure = groups.closure
-        monkeypatch.setattr(groups, "closure", lambda gens, cap: real_closure(gens, cap) + (scaled,))
-        with pytest.raises(DomainError, match="non-unimodular"):
+        gens = sl2_elementary_generators(field) + [FqMatrix.from_ints(field, [[1, 0], [0, 2]])]
+        monkeypatch.setattr(groups, "sl2_elementary_generators", lambda f: gens)
+        with pytest.raises(DomainError, match="not unimodular"):
+            sl2_generate(field)
+
+    def test_a_non_generating_set_is_caught(self, monkeypatch):
+        field = make_field(5, 1)
+        upper = sl2_elementary_generators(field)[:1]
+        monkeypatch.setattr(groups, "sl2_elementary_generators", lambda f: upper)
+        with pytest.raises(DomainError, match="do not generate"):
             sl2_generate(field)
 
 
@@ -79,7 +86,7 @@ class TestClosure:
     def test_closure_is_a_subgroup(self):
         field = make_field(3, 1)
         group = sl2_generate(field)
-        elements = group.element_set()
+        elements = frozenset(group.elements)
         assert FqMatrix.identity(field, 2) in elements
         for m in group.elements:
             assert m.inverse() in elements
@@ -182,22 +189,33 @@ def _oracle_span(gens):
         return None
 
 
+@functools.lru_cache(maxsize=None)
+def _span_oracle_groups(p, e):
+    """Seeded generators over F_(p^e) in dimensions 1 to 4, of every recipe
+    shape, each with the oracle's span: (generators, span) pairs."""
+    field = make_field(p, e)
+    rng = random.Random(f"span/{p}/{e}")
+    cases = []
+    for r in range(1, 5):
+        for kind in _kinds(r) * 2:
+            span = None
+            while span is None:
+                gens = _conjugated(rng, _recipe(rng, field, r, kind))
+                span = _oracle_span(gens)
+            cases.append((tuple(gens), span))
+    return cases
+
+
 class TestSpanOracle:
     """The byte-packed span test against enumeration of the group."""
 
     @pytest.mark.parametrize("p,e", ORACLE_FIELDS)
     def test_dimensions_one_to_four(self, p, e):
-        field = make_field(p, e)
-        rng = random.Random(f"span/{p}/{e}")
         outcomes = set()
-        for r in range(1, 5):
-            for kind in _kinds(r) * 2:
-                span = None
-                while span is None:
-                    gens = _conjugated(rng, _recipe(rng, field, r, kind))
-                    span = _oracle_span(gens)
-                assert burnside_irreducible(gens) == BurnsideResult(span == r * r, span), gens
-                outcomes.add(span == r * r)
+        for gens, span in _span_oracle_groups(p, e):
+            r = gens[0].n
+            assert burnside_irreducible(gens) == BurnsideResult(span == r * r, span), gens
+            outcomes.add(span == r * r)
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("p", [79, 73, 31])
@@ -306,14 +324,14 @@ class TestAssociatedReps:
     @pytest.mark.parametrize("functor,n", [("dual", 0), ("sym", 2), ("sym", 3), ("wedge", 2)])
     def test_functoriality_of_holonomy(self, functor, n):
         image = holonomy(self.rep).group
-        lhs = holonomy(associated_rep(self.rep, functor, n)).group.element_set()
+        lhs = frozenset(holonomy(associated_rep(self.rep, functor, n)).group.elements)
         rhs = frozenset(apply_matrix_functor(m, functor, n) for m in image.elements)
         assert lhs == rhs
 
     def test_functoriality_for_diagonal_tensor(self):
         image = holonomy(self.rep).group
         doubled = associated_rep(self.rep, "tensor_with", other=self.rep)
-        lhs = holonomy(doubled).group.element_set()
+        lhs = frozenset(holonomy(doubled).group.elements)
         rhs = frozenset(kronecker(m, m) for m in image.elements)
         assert lhs == rhs
 
@@ -420,19 +438,25 @@ def _random_invertible(rng, n, p):
             return m
 
 
-def _schreier_sims_order(mats, p):
-    """Order of the group of integer matrices mod p, acting on row vectors."""
+def _schreier_sims_order(gens):
+    """Order of the group of FqMatrix generators, by sympy's Schreier-Sims
+    on the permutations they induce on all row vectors."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    n = len(mats[0])
-    vectors = list(itertools.product(range(p), repeat=n))
+    field, n = gens[0].field, gens[0].n
+    add, mul = field.add_table, field.mul_table
+    vectors = list(itertools.product(range(field.q), repeat=n))
     index = {v: i for i, v in enumerate(vectors)}
-    perms = [
-        combinatorics.Permutation([
-            index[tuple(sum(v[k] * m[k][j] for k in range(n)) % p for j in range(n))]
-            for v in vectors
-        ])
-        for m in mats
-    ]
+
+    def image(v, m):
+        out = []
+        for j in range(n):
+            acc = field.zero
+            for k in range(n):
+                acc = add[acc][mul[v[k]][m.rows[k][j]]]
+            out.append(acc)
+        return tuple(out)
+
+    perms = [combinatorics.Permutation([index[image(v, m)] for v in vectors]) for m in gens]
     return combinatorics.PermutationGroup(perms).order()
 
 
@@ -443,8 +467,9 @@ class TestClosureOracles:
         rng = random.Random(f"closure/{n}/{p}/{seed}")
         mats = [_random_invertible(rng, n, p) for _ in range(rng.randint(1, 3))]
         field = make_field(p, 1)
-        group = group_from_generators([FqMatrix.from_ints(field, m) for m in mats])
-        assert group.order == _schreier_sims_order(mats, p)
+        gens = [FqMatrix.from_ints(field, m) for m in mats]
+        group = group_from_generators(gens)
+        assert group.order == len(groups.closure(gens)) == _schreier_sims_order(gens)
 
     @pytest.mark.parametrize("p,e,n", [(7, 1, 2), (2, 2, 2), (3, 2, 2), (3, 1, 3), (2, 1, 3)])
     def test_output_is_strictly_sorted(self, p, e, n):
@@ -457,3 +482,119 @@ class TestClosureOracles:
         rows = [m.rows for m in elements]
         assert rows == sorted(set(rows))
         assert all(m.field is field for m in elements)
+
+
+SYMPY_POINTS = 4096  # sympy's oracle acts on all q^n row vectors
+
+
+def _probes(rng, gens, elements):
+    """Seeded members and non-members: elements of the group, random
+    invertible matrices, and members times random matrices."""
+    field, r = gens[0].field, gens[0].n
+    members = rng.sample(elements, min(6, len(elements)))
+    strangers = [_random_gl(rng, field, r) for _ in range(6)]
+    return members + strangers + [m * x for m, x in zip(members, strangers)]
+
+
+class TestStabilizerChain:
+    """The chain's order, membership and first elements against closure
+    enumeration and sympy's Schreier-Sims."""
+
+    def _check(self, rng, gens):
+        group = group_from_generators(gens)
+        elements = groups.closure(gens)
+        assert group.order == len(elements)
+        field, r = gens[0].field, gens[0].n
+        if field.q ** r <= SYMPY_POINTS:
+            assert group.order == _schreier_sims_order(gens)
+        assert group.chain.smallest(4) == list(elements[:4])
+        assert group.to_json()["sample_elements"] == [m.to_coeff_rows() for m in elements[:4]]
+        members = frozenset(elements)
+        for m in _probes(rng, gens, elements):
+            assert (m in group) == (m in members), m
+
+    @pytest.mark.parametrize("p,e", ORACLE_FIELDS)
+    def test_span_oracle_groups(self, p, e):
+        rng = random.Random(f"chain/{p}/{e}")
+        for gens, _ in _span_oracle_groups(p, e):
+            self._check(rng, list(gens))
+
+    @pytest.mark.parametrize("p,e", ORACLE_FIELDS + [(5, 2)])
+    def test_sl2(self, p, e):
+        field = make_field(p, e)
+        self._check(random.Random(f"chain/sl2/{p}/{e}"), sl2_elementary_generators(field))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_reducible_groups_verified_pair_by_pair(self, p):
+        # block sums of two SL(2, F_p) generating pairs: far below the
+        # determinant bound, so every Schreier generator is sifted
+        rng = random.Random(f"chain/blocks/{p}")
+        field = make_field(p, 1)
+        for _ in range(3):
+            top = _conjugated(rng, _recipe(rng, field, 2, "sl2p"))
+            bottom = _conjugated(rng, _recipe(rng, field, 2, "sl2p"))
+            self._check(rng, [_block_diagonal(a, b) for a, b in zip(top, bottom[::-1])])
+
+    @pytest.mark.parametrize("n,p,seed", [(3, 5, 0), (3, 7, 0), (3, 7, 1), (4, 3, 0), (4, 3, 1)])
+    def test_orders_past_the_closure_cap(self, n, p, seed):
+        rng = random.Random(f"chain/big/{n}/{p}/{seed}")
+        field = make_field(p, 1)
+        gens = [FqMatrix.from_ints(field, _random_invertible(rng, n, p)) for _ in range(2)]
+        order = _schreier_sims_order(gens)
+        group = group_from_generators(gens, cap=order)
+        assert group.order == order
+        for _ in range(5):
+            word = FqMatrix.identity(field, n)
+            for _ in range(rng.randint(1, 30)):
+                word = word * rng.choice(gens)
+            assert word in group
+        with pytest.raises(CapExceededError):
+            group_from_generators(gens, cap=order - 1)
+
+    @pytest.mark.parametrize("p,e", ORACLE_FIELDS[:5])
+    def test_the_cap_raises_exactly_when_the_order_exceeds_it(self, p, e):
+        for gens, _ in _span_oracle_groups(p, e):
+            order = len(groups.closure(gens))
+            for cap in (order, order + 1, 10 * order):
+                assert group_from_generators(gens, cap).order == order
+            for cap in (order - 1, order // 2, 0):
+                with pytest.raises(CapExceededError, match=f"element cap {cap}$"):
+                    group_from_generators(gens, cap)
+
+    def test_elements_are_enumerated_on_first_access_only(self, monkeypatch):
+        field = make_field(5, 1)
+        calls = []
+        real_closure = groups.closure
+        monkeypatch.setattr(groups, "closure", lambda *a: calls.append(a) or real_closure(*a))
+        group = sl2_generate(field)
+        group.to_json()
+        assert holonomy(FreeGroupRep.of(group.generators), group).full is True
+        assert calls == []
+        assert group.elements is group.elements and len(calls) == 1
+
+    def test_groups_compare_by_their_elements(self):
+        field = make_field(3, 1)
+        sl2 = sl2_generate(field)
+        rng = random.Random("chain/eq")
+        pair = group_from_generators(_conjugated(rng, sl2_elementary_generators(field)))
+        assert pair == sl2 and hash(pair) == hash(sl2)
+        upper = group_from_generators(sl2_elementary_generators(field)[:1])
+        assert upper != sl2 and sl2 != upper
+
+    def test_supplied_elements_are_taken_as_given(self):
+        field = make_field(3, 1)
+        u = FqMatrix.from_ints(field, [[1, 1], [0, 1]])
+        elements = sl2_generate(field).elements
+        group = groups.FqMatrixGroup(field, 2, (u,), elements)
+        assert group.elements == elements and group.order == 3
+
+    def test_holonomy_is_full_only_for_the_same_field_and_dimension(self):
+        f9 = make_field(3, 2)
+        sub = FreeGroupRep.of([FqMatrix.from_ints(f9, m) for m in ([[1, 1], [0, 1]], [[1, 0], [1, 1]])])
+        assert holonomy(sub, sl2_generate(f9)).full is False  # SL(2, F_3) in SL(2, F_9)
+        f3 = make_field(3, 1)
+        same = FreeGroupRep.of(sl2_elementary_generators(f3))
+        assert holonomy(same, sl2_generate(f3)).full is True
+        sym2 = FreeGroupRep.of([sym_matrix(g, 2) for g in same.images])
+        assert holonomy(sym2, sl2_generate(f3)).full is False
+        assert holonomy(same, sl2_generate(make_field(5, 1))).full is False
