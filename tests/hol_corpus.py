@@ -25,6 +25,10 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from bundlecalc.cli import main
+from bundlecalc.fields import make_field
+from bundlecalc.matrices import FqMatrix
+
 FIXTURE = Path(__file__).with_name("data") / "hol_corpus.json"
 
 HOLONOMY_Q = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
@@ -43,12 +47,6 @@ JORDAN_GROUPS = [
 ]
 
 
-def _field(p: int, e: int):
-    from bundlecalc.fields import make_field
-
-    return make_field(p, e)
-
-
 def _wire(field, rows) -> list:
     """Entry indices as the CLI's wire format: ints over F_p, coefficient
     vectors over a proper extension."""
@@ -57,27 +55,17 @@ def _wire(field, rows) -> list:
     return [[list(field.coeffs(x)) for x in row] for row in rows]
 
 
-def _det2(f, m):
-    (a, b), (c, d) = m
-    return f.sub(f.mul(a, d), f.mul(b, c))
-
-
 def _random_matrix(rng, f, n, det_one=False, upper=False):
     while True:
         m = [[0 if upper and j < i else rng.randrange(f.q) for j in range(n)] for i in range(n)]
-        if n == 2:
-            d = _det2(f, m)
-            if d != 0 and (not det_one or d == f.one):
-                return m
-        else:
-            from bundlecalc.matrices import FqMatrix
-
-            if FqMatrix(f, m).is_invertible():
-                return m
+        d = FqMatrix(f, m).det()
+        if d != f.zero and (not det_one or d == f.one):
+            return m
 
 
 def _holonomy_images(rng, f) -> list[list]:
     one, zero = f.one, f.zero
+    # x over a proper extension, -1 over F_p (1 over F_2)
     x = f.index([0, 1] + [0] * (f.e - 2)) if f.e > 1 else f.from_int(f.p - 1 if f.p > 2 else 1)
     return [
         [_random_matrix(rng, f, 2, det_one=True) for _ in range(2)],
@@ -94,7 +82,7 @@ def _holonomy_images(rng, f) -> list[list]:
 def cases() -> list[dict]:
     out = []
     for p, e in HOLONOMY_Q:
-        f = _field(p, e)
+        f = make_field(p, e)
         rng = random.Random(f"hol-corpus/{p}/{e}")
         for images in _holonomy_images(rng, f):
             argv = ["hol", "holonomy", "--p", str(p), "--e", str(e),
@@ -114,7 +102,7 @@ def cases() -> list[dict]:
     out.append({"argv": ["hol", "holonomy", "--p", "3",
                          "--images", "[[[1, 1], [1, 1]]]"]})  # singular: a domain error
     rng = random.Random("hol-corpus/gl3-7")
-    f = _field(7, 1)
+    f = make_field(7, 1)
     out.append({"argv": ["hol", "holonomy", "--p", "7", "--images",
                          json.dumps([_random_matrix(rng, f, 3) for _ in range(2)])]})
     for p, e in SL2_Q:
@@ -134,8 +122,6 @@ def cases() -> list[dict]:
 
 def run_case(case: dict) -> dict:
     """Exit code, stdout and stderr of one case, run through ``cli.main``."""
-    from bundlecalc.cli import main
-
     argv = list(case["argv"])
     with tempfile.TemporaryDirectory() as tmp:
         if "config" in case:
