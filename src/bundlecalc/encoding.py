@@ -13,6 +13,16 @@ from fractions import Fraction
 
 from .errors import CapExceededError, DomainError
 
+_ECHO_CHARS = 40
+
+
+def _echo(value: str) -> str:
+    """repr of the argument, or of its first _ECHO_CHARS characters and its
+    length, so that one malformed argument cannot make a message of any length."""
+    if len(value) <= _ECHO_CHARS:
+        return repr(value)
+    return f"{value[:_ECHO_CHARS]!r}... ({len(value)} characters)"
+
 
 def parse_rational(value) -> Fraction:
     """Parse an int or a "p/q" / "p" string into an exact Fraction."""
@@ -30,7 +40,7 @@ def parse_rational(value) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"not a rational: {value!r}", code="bad_number") from exc
+            raise DomainError(f"not a rational: {_echo(value)}", code="bad_number") from exc
     raise DomainError(f"cannot parse {type(value).__name__} as a rational", code="bad_number")
 
 
@@ -38,7 +48,13 @@ def parse_integer(value) -> int:
     """Parse an int or a decimal string into an exact int."""
     q = parse_rational(value)
     if q.denominator != 1:
-        raise DomainError(f"expected an integer, got {q}", code="bad_number")
+        # a short decimal such as "1e-5000" parses to a fraction past the
+        # int-to-str limit, so only a small fraction is shown in full
+        if max(abs(q.numerator), q.denominator) < 10 ** _ECHO_CHARS:
+            shown = str(q)
+        else:
+            shown = f"a fraction with a {q.denominator.bit_length()}-bit denominator"
+        raise DomainError(f"expected an integer, got {shown}", code="bad_number")
     return q.numerator
 
 

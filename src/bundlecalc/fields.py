@@ -84,15 +84,17 @@ class FqField:
     """
 
     def __init__(self, p: int, e: int, modulus: Optional[Sequence[int]] = None):
-        if not is_prime(p):
-            raise DomainError(f"characteristic {p} is not prime", code="not_prime")
         if e < 1:
             raise DomainError("extension degree must be >= 1", code="bad_field")
         # p^e > Q_CAP already when e > log2(Q_CAP), so p^e is formed (and
-        # the message renders the inputs, not p^e) only under the cap
+        # the message renders the inputs, not p^e) only under the cap; the
+        # cap comes before the primality test, which is exact only for
+        # p < primes.EXACT_BELOW
         if p ** min(e, Q_CAP.bit_length()) > Q_CAP:
             size = p if e == 1 else f"{p}^{e}"
             raise CapExceededError(f"field size {size} exceeds the cap {Q_CAP}")
+        if not is_prime(p):
+            raise DomainError(f"characteristic {p} is not prime", code="not_prime")
         q = p ** e
         if modulus is None:
             modulus = default_modulus(p, e)

@@ -2,13 +2,16 @@
 verification of Jordan's theorem: every finite linear group of degree r has
 an abelian normal subgroup of index at most J(r).
 
-The search for the abelian normal subgroup of minimal index enumerates
-candidates as multiplicative closures of unions of conjugacy classes (any
-normal subgroup is such a union, so the search is complete for normal
-subgroups) and filters for abelianness.  Classes whose elements do not all
-commute with each other are discarded up front, and unions are restricted
-to cliques in the class-commutation graph, which keeps the enumeration far
-below the full subset lattice.
+The abelian normal subgroup of minimal index is found by a breadth-first
+walk from the centre Z, the union of the singleton conjugacy classes.  For
+each subgroup N found and each class C outside N whose elements commute
+with each other and with N, <N, C> is abelian and normal: it is the closure
+of N under right multiplication by C.  The largest subgroup found is kept.
+The walk is exact.  If A is abelian and normal, so is AZ, and |AZ| >= |A|.
+An abelian normal subgroup above Z is Z and some non-central classes, which
+the walk adds one at a time (an abelian group has none, and is returned).
+Starting at Z keeps the walk small: on (Z/2)^5 x D4 it meets 4 subgroups,
+against 10 178 from the trivial group.
 
 A table built from a matrix group is filled from the left-multiplication
 permutations of its generators, (g * x) * y = g * (x * y), so it needs
@@ -29,7 +32,6 @@ from .groups import FqMatrixGroup
 from .matrices import FqMatrix
 
 JORDAN_ORDER_CAP = 360
-_CLIQUE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -89,12 +91,8 @@ class FiniteGroupTable:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        e = self.identity
-        row = self.table[a]
-        for b in range(self.order):
-            if row[b] == e:
-                return b
-        raise DomainError("inverse disappeared", code="internal")
+        # every row holds the identity: inverses are verified at construction
+        return self.table[a].index(self.identity)
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -185,19 +183,20 @@ def table_from_matrix_group(g: FqMatrixGroup) -> FiniteGroupTable:
     return FiniteGroupTable(n, tuple(rows), labels)
 
 
-def _closure_of_subset(t: FiniteGroupTable, subset: set[int]) -> frozenset[int]:
-    out = set(subset)
-    out.add(t.identity)
-    frontier = list(out)
+def _grow(t: FiniteGroupTable, subgroup: frozenset[int], cls: Sequence[int]) -> frozenset[int]:
+    """<subgroup, cls>, for a class commuting with itself and the subgroup."""
+    table = t.table
+    out = set(subgroup)
+    frontier = list(subgroup)
     while frontier:
         new = []
-        for a in frontier:
-            row = t.table[a]
-            for b in list(out):
-                for prod in (row[b], t.table[b][a]):
-                    if prod not in out:
-                        out.add(prod)
-                        new.append(prod)
+        for x in frontier:
+            row = table[x]
+            for c in cls:
+                y = row[c]
+                if y not in out:
+                    out.add(y)
+                    new.append(y)
         frontier = new
     return frozenset(out)
 
@@ -256,38 +255,27 @@ def jordan_verify(g: FiniteGroupTable, r: int, j_value: int) -> JordanCertificat
             f"group order {n} exceeds the search cap {JORDAN_ORDER_CAP}"
         )
 
-    if g.is_abelian():
-        best = frozenset(range(n))
-    else:
-        classes = g.conjugacy_classes()
-        usable = [c for c in classes if _all_commute(g, c)]
-        # identity class is always usable and sits in every subgroup
-        ident_cls = next(c for c in usable if g.identity in c)
-        others = [c for c in usable if c is not ident_cls]
-        compat = {}
-        for i, ci in enumerate(others):
-            for j in range(i + 1, len(others)):
-                cj = others[j]
-                compat[(i, j)] = all(
-                    g.table[a][b] == g.table[b][a] for a in ci for b in cj
-                )
-        best = frozenset({g.identity})
-        stack: list[tuple[list[int], int]] = [([], 0)]
-        visited = 0
-        while stack:
-            chosen, start = stack.pop()
-            visited += 1
-            if visited > _CLIQUE_CAP:
-                raise CapExceededError("conjugacy-class clique enumeration exploded")
-            union = set(ident_cls)
-            for i in chosen:
-                union.update(others[i])
-            closure = _closure_of_subset(g, union)
-            if _all_commute(g, closure) and len(closure) > len(best):
-                best = closure
-            for nxt in range(start, len(others)):
-                if all(compat[(min(i, nxt), max(i, nxt))] for i in chosen):
-                    stack.append((chosen + [nxt], nxt + 1))
+    table = g.table
+    classes = g.conjugacy_classes()
+    centre = frozenset(c[0] for c in classes if len(c) == 1)
+    usable = [c for c in classes if len(c) > 1 and _all_commute(g, c)]
+    best = centre
+    seen = {centre}
+    frontier = [centre]
+    while frontier:
+        new = []
+        for sub in frontier:
+            for cls in usable:
+                # a normal subgroup holding one element of a class holds it all
+                if cls[0] in sub or any(table[a][b] != table[b][a] for a in cls for b in sub):
+                    continue
+                grown = _grow(g, sub, cls)
+                if grown not in seen:
+                    seen.add(grown)
+                    new.append(grown)
+                    if len(grown) > len(best):
+                        best = grown
+        frontier = new
 
     if not _all_commute(g, best):
         raise DomainError("witness subgroup failed the abelian re-check", code="internal")

@@ -15,7 +15,10 @@ from the main implementation, for cross-checking:
     not by the packed closure in bundlecalc.groups;
   * the dimension of the span of a matrix group by enumerating the group
     over entry tuples and eliminating its flattened elements as lists
-    (against the byte-packed algebra span test, which never enumerates it).
+    (against the byte-packed algebra span test, which never enumerates it);
+  * the largest abelian normal subgroup of a multiplication table by closing
+    unions of cliques of commuting conjugacy classes (against the walk over
+    the abelian normal subgroups above the centre).
 """
 
 from __future__ import annotations
@@ -344,3 +347,66 @@ def span_by_enumeration(gens: Sequence[FqMatrix], limit: int = 4096) -> int:
             if len(rows) == n:
                 break
     return len(rows)
+
+
+# -- abelian normal subgroups by a clique search ---------------------------
+
+def abelian_normal_by_cliques(table: Sequence[Sequence[int]], limit: int = 200_000) -> frozenset:
+    """The largest abelian normal subgroup of the group with this
+    multiplication table, first found in the search order.
+
+    An abelian group is its own answer.  Otherwise, as a normal subgroup is
+    a union of conjugacy classes, closing the identity with every clique of
+    classes that commute within and with each other finds every abelian
+    normal subgroup; a clique is not extended by a class its closure already
+    holds, which closes to the same subgroup as a clique visited anyway.
+    Classes and closures are computed here from the raw table.  More than
+    ``limit`` cliques raise CapExceededError."""
+    n = len(table)
+    e = next(a for a in range(n) if list(table[a]) == list(range(n)))
+    inv = [list(table[a]).index(e) for a in range(n)]
+
+    def commute(xs, ys) -> bool:
+        return all(table[a][b] == table[b][a] for a in xs for b in ys)
+
+    if commute(range(n), range(n)):
+        return frozenset(range(n))
+
+    def closure(subset: set) -> frozenset:
+        out = subset | {e}
+        frontier = list(out)
+        while frontier:
+            new = []
+            for a in frontier:
+                for b in list(out):
+                    for c in (table[a][b], table[b][a]):
+                        if c not in out:
+                            out.add(c)
+                            new.append(c)
+            frontier = new
+        return frozenset(out)
+
+    classes, seen = [], {e}
+    for a in range(n):
+        if a not in seen:
+            cls = {table[table[g][a]][inv[g]] for g in range(n)}
+            seen |= cls
+            if commute(cls, cls):
+                classes.append(cls)
+    k = len(classes)
+    compat = {(i, j) for i in range(k) for j in range(i + 1, k) if commute(classes[i], classes[j])}
+    best = frozenset({e})
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    visited = 0
+    while stack:
+        chosen, start = stack.pop()
+        visited += 1
+        if visited > limit:
+            raise CapExceededError(f"more than {limit} class cliques")
+        sub = closure(set().union(*(classes[i] for i in chosen)))
+        if commute(sub, sub) and len(sub) > len(best):
+            best = sub
+        for nxt in range(start, k):
+            if not classes[nxt] <= sub and all((i, nxt) in compat for i in chosen):
+                stack.append((chosen + (nxt,), nxt + 1))
+    return best

@@ -340,3 +340,96 @@ class TestOutputDigitLimit:
         with pytest.raises(CapExceededError, match="4300 decimal digits"):
             format_rational(Fraction(1, 10 ** 4300))
         assert format_integer(10 ** 4299) == "1" + "0" * 4299
+
+
+class TestJordanSearch:
+    """Groups on which the former conjugacy-class clique search ran past a
+    minute before its cap rejected them."""
+
+    def test_the_order_72_monomial_group(self, capsys):
+        # diag(F_7^*)^2 x <swap>: the diagonal subgroup has index 2
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hol", "jordan-verify", "--p", "7", "--gens",
+                             "[[[3,0],[0,1]],[[1,0],[0,3]],[[0,1],[1,0]]]", "--r", "2",
+                             "--mode", "schur")
+        elapsed = time.perf_counter() - start
+        assert (code, out, err) == (
+            0, '{"N_order": "36", "bound": "384064", "holds": true, "index": "2"}\n', "")
+        assert elapsed < 0.05
+
+    def test_z2_to_the_5_times_d4(self, capsys):
+        # D4 on the first two coordinates over F_3 and a sign on each of the
+        # other five: the centre has order 64, and (Z/2)^5 x C4 is abelian of
+        # index 2 in the non-abelian group of order 256
+        gens = [[[1 if i == j else 0 for j in range(7)] for i in range(7)] for _ in range(7)]
+        gens[0][0][:2], gens[0][1][:2] = [0, 2], [1, 0]
+        gens[1][1][1] = 2
+        for k in range(2, 7):
+            gens[k][k][k] = 2
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "hol", "jordan-verify", "--p", "3", "--gens", json.dumps(gens),
+                           "--r", "7", "--mode", "schur")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        cert = json.loads(out)
+        assert (cert["N_order"], cert["index"], cert["holds"]) == ("128", "2", True)
+        assert elapsed < 1.0
+
+
+class TestPrimalityBound:
+    """Miller-Rabin with the prime bases 2..41 is exact below psi_13."""
+
+    PSI_12 = "318665857834031151167461"  # 399165290221 * 798330580441
+    PSI_13 = "3317044064679887385961981"
+
+    def frobscale(self, capsys, p):
+        return run(capsys, "hn", "frobscale", "--deg", "1", "--n", "1", "--p", p)
+
+    def test_psi_12_is_composite(self, capsys):
+        code, out, err = self.frobscale(capsys, self.PSI_12)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "not_prime"
+
+    def test_its_factors_are_prime(self, capsys):
+        for p in ("399165290221", "798330580441"):
+            assert self.frobscale(capsys, p) == (0, f'{{"deg": "{p}"}}\n', "")
+
+    def test_psi_13_and_above_are_undecided(self, capsys):
+        for p in (self.PSI_13, str(10 ** 30 + 57)):
+            code, out, err = self.frobscale(capsys, p)
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == "prime_undecided"
+
+    def test_a_small_factor_still_decides_above_psi_13(self, capsys):
+        code, _, err = self.frobscale(capsys, str(3 * 10 ** 30))
+        assert code == 2 and json.loads(err)["error"] == "not_prime"
+
+    @pytest.mark.parametrize("p", [PSI_12, PSI_13])
+    def test_the_field_cap_comes_first(self, capsys, p):
+        code, out, err = run(capsys, "hol", "field", "--p", p)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "cap_exceeded",
+                                   "message": f"field size {p} exceeds the cap 81"}
+
+
+class TestBadNumberMessages:
+    def test_a_long_argument_is_cut(self, capsys, digit_limit):
+        # 5000 digits are past the int-to-str limit, so this is no rational
+        code, out, err = run(capsys, "hol", "sl2", "--p", "3", "--e", "9" * 5000)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 200
+        assert json.loads(err)["message"] == \
+            "not a rational: '" + "9" * 40 + "'... (5000 characters)"
+
+    def test_a_short_argument_is_echoed_whole(self, capsys):
+        code, _, err = run(capsys, "hol", "sl2", "--p", "3", "--e", "x9")
+        assert code == 2
+        assert err == '{"error": "bad_number", "message": "not a rational: \'x9\'"}\n'
+
+    @pytest.mark.parametrize("arg,shown", [("0.5", "1/2"),
+                                           ("1e-5000", "a fraction with a 16610-bit denominator")])
+    def test_a_non_integer(self, capsys, arg, shown):
+        code, out, err = run(capsys, "hn", "frobscale", "--deg", "1", "--p", "2", "--n", arg)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "bad_number",
+                                   "message": f"expected an integer, got {shown}"}

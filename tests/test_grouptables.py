@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -16,6 +17,8 @@ from bundlecalc import (
     sl2_generate,
     table_from_matrix_group,
 )
+from bundlecalc.acceptance import _fixture_groups
+from bundlecalc.oracles import abelian_normal_by_cliques
 
 
 def cyclic_table(n):
@@ -189,3 +192,63 @@ class TestTableFromMatrixGroup:
         inconsistent = FqMatrixGroup(field, 2, (u, v), cyclic.elements)
         with pytest.raises(DomainError, match="closed"):
             table_from_matrix_group(inconsistent)
+
+
+# the benchmark's Jordan groups of order <= 360: (name, p, generators or None for SL(2, p))
+_BENCH_JORDAN = (
+    ("SL(2,3)", 3, None), ("SL(2,5)", 5, None), ("SL(2,7)", 7, None),
+    ("GL(2,3)", 3, ([[1, 1], [0, 1]], [[0, 1], [1, 0]])),
+    ("Borel(SL(2,7))", 7, ([[1, 1], [0, 1]], [[3, 0], [0, 5]])),
+    ("dihedral(12)", 7, ([[3, 0], [0, 5]], [[0, 1], [1, 0]])),
+)
+
+
+@lru_cache(maxsize=None)
+def _oracle_groups():
+    """A09's groups, the table fixtures, the benchmark's Jordan groups, the
+    monomial group diag(F_7^*)^2 x <swap> of order 72, and seeded random
+    pairs of 2x2 matrices over F_3, F_5 and F_7 generating a group of order
+    <= 120, six per field."""
+    groups = {f"A09 {name}": group for name, group, *_ in _fixture_groups()}
+    groups.update((f"table {name}", group) for name, group in _table_fixtures().items())
+    for name, p, gens in _BENCH_JORDAN:
+        field = make_field(p, 1)
+        groups[f"bench {name}"] = sl2_generate(field) if gens is None else \
+            group_from_generators([FqMatrix.from_ints(field, m) for m in gens])
+    monomial = ([[3, 0], [0, 1]], [[1, 0], [0, 3]], [[0, 1], [1, 0]])
+    groups["monomial(72)"] = group_from_generators(
+        [FqMatrix.from_ints(make_field(7, 1), m) for m in monomial])
+    rng = random.Random(20261018)
+    for p in (3, 5, 7):
+        field = make_field(p, 1)
+        found = 0
+        while found < 6:
+            mats = [[[rng.randrange(p) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+            if any((m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p == 0 for m in mats):
+                continue
+            group = group_from_generators([FqMatrix.from_ints(field, m) for m in mats])
+            if group.order <= 120:
+                groups[f"F_{p} #{found} {mats}"] = group
+                found += 1
+    return groups
+
+
+class TestJordanAgainstCliqueOracle:
+    @pytest.mark.parametrize("name", sorted(_oracle_groups()))
+    def test_witness_order_and_shape(self, name):
+        table = table_from_matrix_group(_oracle_groups()[name])
+        cert = jordan_verify(table, 2, 1)
+        t = table.table
+        n = table.order
+        e = t.index(tuple(range(n)))
+        inv = [t[a].index(e) for a in range(n)]
+        witness = set(cert.subgroup)
+        assert all(t[a][b] == t[b][a] and t[a][b] in witness for a in witness for b in witness)
+        assert all(t[t[g][s]][inv[g]] in witness for g in range(n) for s in witness)
+        assert cert.order == len(witness) and cert.index * cert.order == n
+        assert cert.order == len(abelian_normal_by_cliques(t))
+
+    def test_the_oracle_has_a_clique_limit(self):
+        table = table_from_matrix_group(_oracle_groups()["monomial(72)"]).table
+        with pytest.raises(CapExceededError, match="more than 10 class cliques"):
+            abelian_normal_by_cliques(table, limit=10)
