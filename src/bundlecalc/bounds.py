@@ -16,13 +16,14 @@ binary-rational endpoints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .chern import ChernData, discriminant, sym_rank
 from .encoding import format_integer
-from .errors import DomainError, MissingConstantError, PrecisionError
+from .errors import CapExceededError, DomainError, MissingConstantError, PrecisionError
 
 _WEISFEILER_PREC_CAP = 1 << 14
 
@@ -175,8 +176,11 @@ def _weisfeiler_ceiling(r: int, a: Fraction, b: Fraction) -> int:
     Exact fast paths: r = 1 (the power is 1) and a = 0 with integral b.
     Otherwise the interval precision doubles until the two endpoint ceilings
     agree; values sitting exactly on an integer cannot be separated and
-    raise a precision error.
+    raise a precision error.  Past math.factorial's limit, (r + 1)! has more
+    than 2^63 bits (on 64-bit builds): a cap error.
     """
+    if r >= sys.maxsize:
+        raise CapExceededError(f"(r + 1)! has more than 2^{sys.maxsize.bit_length()} bits")
     fact = math.factorial(r + 1)
     if r == 1:
         return fact

@@ -18,12 +18,13 @@ c1 data (deg = c1sq = 0).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .encoding import format_integer, format_rational, parse_rational
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 
 Rat = Fraction
 
@@ -199,16 +200,21 @@ def sym_rank(r: int, n: int) -> int:
         raise DomainError("rank must be positive", code="bad_rank")
     if n < 0:
         raise DomainError("power must be nonnegative", code="bad_power")
-    return math.comb(n + r - 1, r - 1)
+    return _binom(n + r - 1, r - 1)
 
 
 def _binom(a: int, b: int) -> int:
-    """Generalized binomial a(a-1)...(a-b+1)/b!, and 0 for b < 0."""
+    """Generalized binomial a(a-1)...(a-b+1)/b!, and 0 for b < 0.
+
+    C(m, k) >= 2^min(k, m - k), so one past math.comb's limit on
+    min(k, m - k) has more than 2^63 bits (on 64-bit builds): a cap error."""
     if b < 0:
         return 0
-    if a >= 0:
-        return math.comb(a, b)
-    return (-1) ** b * math.comb(b - a - 1, b)
+    m = a if a >= 0 else b - a - 1
+    if min(b, m - b) > sys.maxsize:
+        raise CapExceededError(
+            f"a binomial coefficient has more than 2^{sys.maxsize.bit_length()} bits")
+    return math.comb(m, b) if a >= 0 else (-1) ** b * math.comb(m, b)
 
 
 # Characters of polynomial functors of one bundle E of rank r: (a0, a1, a2, a3)

@@ -326,7 +326,7 @@ def _cmd_hol(args, cfg) -> dict:
         j = parse_integer(args.j)
     else:
         j = bounds.jordan_constant(r, _mode_from(args, cfg))
-    return grouptables.jordan_verify(table, r, j).to_json()
+    return grouptables.jordan_verify(table, r, j, cfg.caps.jordan_order).to_json()
 
 
 def _cmd_selftest(args, cfg) -> int:

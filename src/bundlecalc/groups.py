@@ -1,5 +1,5 @@
 """Finite matrix groups from generators: a stabilizer chain for order,
-membership and full holonomy, closure enumeration, the two-elementary-matrix
+membership, full holonomy and element enumeration, the two-elementary-matrix
 generation of SL(2, F_q), the Burnside matrix-algebra span test for absolute
 irreducibility, and free-group representations as desk-scale models of
 finite covers with their holonomy (image) groups.
@@ -8,8 +8,8 @@ All enumerations are returned in the canonical sorted order (lexicographic
 on entry-index rows), so repeated runs are bit-identical.
 
 Rows are packed: a row is a base-q integer of its entry indices, big-endian,
-so integer order is the canonical row order, and a matrix is a tuple (in the
-closure, a base-q^r integer) of its rows.  Right multiplication by a matrix
+so integer order is the canonical row order, and a matrix is a tuple (to be
+sorted, a base-q^n integer) of its rows.  Right multiplication by a matrix
 g maps each row independently, through a table from packed row to packed
 row that is filled as rows are met (``_RowAction``).
 
@@ -38,12 +38,12 @@ The order is the product of the orbit lengths.  Because row i of g is
 e_i g, an element is fixed by its rows level by level: row i ranges over
 the orbit at level i mapped by the transversal elements chosen above, so
 the first elements in canonical order come from a best-first descent of
-the chain.  The full element list is enumerated by ``closure`` only when
-asked for (the multiplication tables of ``grouptables`` and the oracles).
-
-The closure is a breadth-first search on packed matrices, which keeps its
-frontier as one list of packed rows per row position.  The FqMatrix objects
-are built once, from the sorted packed set.
+the chain.  The full list, enumerated only when asked for, walks the
+Schreier trees from the last level up: level i's group is the products h u,
+h in level i+1's group and u a transversal element of level i, one for each
+pair (row i of h u is e_i u, the orbit point of u).  So the walk is exact:
+it makes as many distinct elements as the order.  The products at an orbit
+point are those at its parent times the tree edge's generator.
 
 The span test runs on whole rows as well: a flattened matrix is one
 ``bytes`` of entry indices (q <= 81 < 256).  Scaling is one
@@ -54,12 +54,10 @@ terms, each plane one big integer, and reduced mod p by one more
 
 from __future__ import annotations
 
-import gc
 import heapq
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
+from itertools import repeat
 from math import comb, prod
 from typing import Optional, Sequence
 
@@ -96,20 +94,6 @@ class _RowAction(dict):
         return out
 
 
-def _common_space(generators: Sequence[FqMatrix]) -> tuple[FqField, int]:
-    """The field and dimension shared by invertible generators."""
-    if not generators:
-        raise DomainError("at least one generator required", code="no_generators")
-    field = generators[0].field
-    n = generators[0].n
-    for g in generators:
-        if g.field != field or g.n != n:
-            raise DomainError("generators must share a field and dimension", code="bad_matrix")
-        if not g.is_invertible():
-            raise DomainError("generators must be invertible", code="not_invertible")
-    return field, n
-
-
 def _order_bound(field: FqField, n: int, generators: Sequence[FqMatrix]) -> int:
     """|SL(n, q)| |D|, D the subgroup of F_q^* the determinants generate."""
     q, mul = field.q, field.mul_table
@@ -130,7 +114,14 @@ class StabilizerChain:
 
     def __init__(self, generators: Sequence[FqMatrix], cap: int = CLOSURE_CAP):
         self.generators = tuple(generators)
-        self.field, self.n = field, n = _common_space(self.generators)
+        if not self.generators:
+            raise DomainError("at least one generator required", code="no_generators")
+        self.field, self.n = field, n = self.generators[0].field, self.generators[0].n
+        for g in self.generators:
+            if g.field != field or g.n != n:
+                raise DomainError("generators must share a field and dimension", code="bad_matrix")
+            if not g.is_invertible():
+                raise DomainError("generators must be invertible", code="not_invertible")
         self.cap = cap
         q = field.q
         self.places = [q ** (n - 1 - j) for j in range(n)]
@@ -304,13 +295,38 @@ class StabilizerChain:
             descend(0, None, ())
         return [self._matrix(rows) for rows in found]
 
+    def elements(self) -> tuple[FqMatrix, ...]:
+        """Every element in canonical order, by the Schreier-tree walk (module docstring)."""
+        n, q = self.n, self.field.q
+        columns = [[b] for b in self.base]  # one list of packed rows per row position
+        for level in range(n - 1, -1, -1):
+            size, points, tree = len(columns[0]), self._points[level], self._trees[level]
+            index = {point: j for j, point in enumerate(points)}
+            for point in points[1:]:  # slice j holds point j's products; parents come first
+                parent, k = tree[point]
+                start = index[parent] * size
+                for rows in columns:
+                    rows.extend(map(self._acts[k].__getitem__, rows[start:start + size]))
+        radix = q ** n
+        codes = columns[0]
+        for rows in columns[1:]:
+            codes = [m * radix + r for m, r in zip(codes, rows)]
+        codes.sort()
+        weights = [radix ** (n - 1 - i) for i in range(n)]  # of the rows in a code
+        # the matrices share one entry tuple per distinct row
+        entries = {row: tuple(row // v % q for v in self.places) for row in set().union(*columns)}
+        del columns
+        columns = [[entries[code // w % radix] for code in codes] for w in weights]
+        del codes
+        return tuple(map(FqMatrix._make, repeat(self.field), zip(*columns)))
+
 
 class FqMatrixGroup:
     """A finite matrix group given by generators, answered from its
     stabilizer chain: the order, membership (``m in group``) and the first
-    elements in canonical order.  The sorted element list is enumerated by
-    ``closure`` on first access to ``elements`` and cached; it may instead
-    be supplied, and is then taken as given."""
+    elements in canonical order.  The sorted element list is enumerated from
+    the chain on first access to ``elements`` and cached; it may instead be
+    supplied, and is then taken as given."""
 
     def __init__(self, field: FqField, dim: int, generators: Sequence[FqMatrix],
                  elements: Optional[Sequence[FqMatrix]] = None,
@@ -334,7 +350,7 @@ class FqMatrixGroup:
     @property
     def elements(self) -> tuple[FqMatrix, ...]:
         if self._elements is None:
-            self._elements = closure(self.generators, self.chain.cap)
+            self._elements = self.chain.elements()
         return self._elements
 
     def __contains__(self, m: FqMatrix) -> bool:
@@ -358,63 +374,12 @@ class FqMatrixGroup:
             "generators": [g.to_coeff_rows() for g in self.generators],
             "sample_elements": [m.to_coeff_rows() for m in self.chain.smallest(sample)],
         }
+
+
 def closure(generators: Sequence[FqMatrix], cap: int = CLOSURE_CAP) -> tuple[FqMatrix, ...]:
-    """Multiplicative closure of the generators, sorted canonically: the
-    enumerator behind ``FqMatrixGroup.elements``, and an order oracle for
-    the stabilizer chain.
-
-    In a finite matrix group, closing under products from the identity
-    already yields the generated subgroup (inverses are powers).  The
-    breadth-first search multiplies every element by every generator once,
-    a whole level per generator at a time: the frontier is kept as one list
-    of packed rows per row position.
-    """
-    field, n = _common_space(generators)
-    q = field.q
-    radix = q ** n
-    places = [q ** (n - 1 - j) for j in range(n)]  # of the entries in a row
-    weights = [radix ** (n - 1 - i) for i in range(n)]  # of the rows in a matrix
-    actions = [_RowAction(g, places) for g in generators]
-    identity = [field.one * p for p in places]
-    seen = {sum(r * w for r, w in zip(identity, weights))}
-    frontier = [[r] for r in identity]
-    while frontier[0]:
-        level = []
-        for act in actions:
-            act_on = act.__getitem__
-            prods = map(act_on, frontier[0])
-            for rows in frontier[1:]:
-                prods = [m * radix + r for m, r in zip(prods, map(act_on, rows))]
-            new = set(filterfalse(seen.__contains__, prods))
-            seen |= new
-            if len(seen) > cap:
-                raise CapExceededError(f"group closure exceeded the element cap {cap}")
-            level.append(new)
-        frontier = [[m // w % radix for new in level for m in new] for w in weights]
-    codes = sorted(seen)
-    del seen
-    # the matrices share one entry tuple per distinct row
-    row_tuples = {row: tuple(row // v % q for v in places)
-                  for row in {code // w % radix for code in codes for w in weights}}
-    columns = [[row_tuples[code // w % radix] for code in codes] for w in weights]
-    del codes
-    with _gc_paused():
-        return tuple(map(FqMatrix._make, repeat(field), zip(*columns)))
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector while a closure's matrices are
-    built: they form no cycles, and each collection pass would rescan all of
-    them built so far (about 0.6 s of the 531 360 matrices of SL(2, F_81))."""
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
+    """The sorted elements of the group generated, from its stabilizer chain
+    (kept under this name: the holonomy benchmark traces calls to it)."""
+    return StabilizerChain(generators, cap).elements()
 
 
 def group_from_generators(generators: Sequence[FqMatrix], cap: int = CLOSURE_CAP) -> FqMatrixGroup:

@@ -238,9 +238,11 @@ class JordanCertificate:
         }
 
 
-def jordan_verify(g: FiniteGroupTable, r: int, j_value: int) -> JordanCertificate:
+def jordan_verify(g: FiniteGroupTable, r: int, j_value: int,
+                  cap: int = JORDAN_ORDER_CAP) -> JordanCertificate:
     """Find the abelian normal subgroup of minimal index and compare with
-    the degree-r Jordan bound.
+    the degree-r Jordan bound; a group of more than ``cap`` elements raises
+    CapExceededError.
 
     The witness is re-verified abelian and normal by exhaustive pair and
     conjugation checks before any index claim.
@@ -250,10 +252,8 @@ def jordan_verify(g: FiniteGroupTable, r: int, j_value: int) -> JordanCertificat
     if j_value < 1:
         raise DomainError("bound must be >= 1", code="bad_mode")
     n = g.order
-    if n > JORDAN_ORDER_CAP:
-        raise CapExceededError(
-            f"group order {n} exceeds the search cap {JORDAN_ORDER_CAP}"
-        )
+    if n > cap:
+        raise CapExceededError(f"group order {n} exceeds the search cap {cap}")
 
     table = g.table
     classes = g.conjugacy_classes()

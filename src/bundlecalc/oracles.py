@@ -8,13 +8,16 @@ from the main implementation, for cross-checking:
   * the surd expansion (sqrt(8r)+1)^N - (sqrt(8r)-1)^N by iterated
     multiplication in Z[sqrt(8r)] (against the binomial-sum expansion);
   * SL(2, F_q) by filtering all q^4 matrices for determinant 1 (against the
-    two-generator closure);
+    elements of the stabilizer chain of its generators);
+  * the elements of a matrix group by a breadth-first search over flattened
+    entry tuples, ``group_by_enumeration`` (against the order, membership and
+    element list of the stabilizer chain);
   * reducibility of a 2-dimensional matrix group by searching for a common
     eigenvector over the quadratic extension (against the algebra span test);
     the group is enumerated here by its own search over 2x2 entry tuples,
-    not by the packed closure in bundlecalc.groups;
-  * the dimension of the span of a matrix group by enumerating the group
-    over entry tuples and eliminating its flattened elements as lists
+    not from the chain in bundlecalc.groups;
+  * the dimension of the span of a matrix group by eliminating the
+    flattened elements of ``group_by_enumeration`` as lists
     (against the byte-packed algebra span test, which never enumerates it);
   * the largest abelian normal subgroup of a multiplication table by closing
     unions of cliques of commuting conjugacy classes (against the walk over
@@ -297,11 +300,11 @@ def reducible_by_common_eigenvector(gens: Sequence[FqMatrix]) -> bool:
 
 # -- matrix-algebra span by group enumeration -----------------------------
 
-def span_by_enumeration(gens: Sequence[FqMatrix], limit: int = 4096) -> int:
-    """Dimension of the linear span of the group generated by the r x r
-    matrices: its own breadth-first search over flattened entry tuples with
-    the field's add and mul, then the rank of the elements by elimination on
-    lists.  Groups of more than ``limit`` elements raise CapExceededError."""
+def group_by_enumeration(gens: Sequence[FqMatrix], limit: int = 4096) -> list[tuple[int, ...]]:
+    """The elements of the group generated by the r x r matrices, as sorted
+    flattened entry tuples: its own breadth-first search with the field's add
+    and mul, the element oracle of the stabilizer chain.  Groups of more than
+    ``limit`` elements raise CapExceededError."""
     field = gens[0].field
     r = gens[0].n
     n = r * r
@@ -332,9 +335,19 @@ def span_by_enumeration(gens: Sequence[FqMatrix], limit: int = 4096) -> int:
         if len(seen) > limit:
             raise CapExceededError(f"group has more than {limit} elements")
         frontier = new
+    return sorted(seen)
 
+
+def span_by_enumeration(gens: Sequence[FqMatrix], limit: int = 4096) -> int:
+    """Dimension of the linear span of the group generated by the r x r
+    matrices: the group from ``group_by_enumeration``, then the rank of its
+    elements by elimination on lists.  Groups of more than ``limit`` elements
+    raise CapExceededError."""
+    field = gens[0].field
+    n = gens[0].n ** 2
+    mul = field.mul
     rows: list[tuple[int, list[int]]] = []  # (pivot, row with a 1 there)
-    for v in sorted(seen):
+    for v in group_by_enumeration(gens, limit):
         v = list(v)
         for pivot, row in rows:
             c = v[pivot]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bundlecalc import CapExceededError, FqMatrix, make_field
+from bundlecalc import CapExceededError, FqMatrix, groups, make_field
 from bundlecalc.cli import main
 from bundlecalc.encoding import format_integer, format_rational
 
@@ -374,6 +374,56 @@ class TestJordanSearch:
         cert = json.loads(out)
         assert (cert["N_order"], cert["index"], cert["holds"]) == ("128", "2", True)
         assert elapsed < 1.0
+
+
+class TestJordanCap:
+    """The configured Jordan cap is the only one that the CLI applies."""
+
+    GL25 = "[[[1,1],[0,1]],[[0,1],[1,0]],[[2,0],[0,1]]]"
+
+    def _run(self, capsys, tmp_path, cap, p, gens):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"caps": {"jordan_order": cap}}))
+        return run(capsys, "--config", str(cfg), "hol", "jordan-verify", "--p", p,
+                   "--gens", gens, "--r", "2", "--mode", "schur")
+
+    def test_a_larger_cap_admits_gl_2_5(self, capsys, tmp_path):
+        assert self._run(capsys, tmp_path, 1000, "5", self.GL25) == (
+            0, '{"N_order": "4", "bound": "384064", "holds": true, "index": "120"}\n', "")
+
+    def test_a_smaller_cap_rejects_sl_2_5(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, tmp_path, 100, "5", "[[[1,1],[0,1]],[[1,0],[1,1]]]")
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "cap_exceeded",
+                                   "message": "group order 120 exceeds the configured cap 100"}
+
+    def test_one_chain_enumerated_once(self, capsys, monkeypatch):
+        built, walked = [], []
+        init, walk = groups.StabilizerChain.__init__, groups.StabilizerChain.elements
+        monkeypatch.setattr(groups.StabilizerChain, "__init__",
+                            lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        monkeypatch.setattr(groups.StabilizerChain, "elements",
+                            lambda self: walked.append(self) or walk(self))
+        code, out, _ = run(capsys, "hol", "jordan-verify", "--p", "7",
+                           "--gens", "[[[1,1],[0,1]],[[3,0],[0,5]]]", "--r", "2", "--mode", "schur")
+        assert (code, out) == (
+            0, '{"N_order": "14", "bound": "384064", "holds": true, "index": "3"}\n')
+        assert len(built) == 1 and walked == built
+
+
+class TestArgumentsPastTheMathLimits:
+    """Arguments past math.factorial's and math.comb's limits are cap errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "jordan", "--r", "9" * 20, "--mode", "weisfeiler", "--a", "1", "--b", "1"],
+        ["chern", "sym", "--rank", "9" * 20, "--n", "9" * 20],
+        ["bounds", "ell", "--r", "9" * 20, "--mode", "explicit", "--value", "9" * 20, "--c", "1"],
+    ], ids=["weisfeiler", "sym", "ell"])
+    def test_cap_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "cap_exceeded"
 
 
 class TestPrimalityBound:

@@ -18,8 +18,13 @@ from bundlecalc import (
 )
 from bundlecalc import groups
 from bundlecalc.groups import BurnsideResult, apply_matrix_functor, sl2_elementary_generators
-from bundlecalc.matrices import dual_matrix, kronecker, sym_matrix, wedge_matrix
-from bundlecalc.oracles import reducible_by_common_eigenvector, sl2_by_filter, span_by_enumeration
+from bundlecalc.matrices import dual_matrix, flatten, kronecker, sym_matrix, wedge_matrix
+from bundlecalc.oracles import (
+    group_by_enumeration,
+    reducible_by_common_eigenvector,
+    sl2_by_filter,
+    span_by_enumeration,
+)
 
 
 class TestSl2Generation:
@@ -120,6 +125,7 @@ class TestBurnside:
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (3, 3)]
 ORACLE_LIMIT = 2000  # group elements the enumeration oracle may visit
+ELEMENT_LIMIT = 20000  # the element oracle's limit: SL(2, F_27) has 19 656 elements
 
 
 def _random_gl(rng, field, r):
@@ -469,7 +475,8 @@ class TestClosureOracles:
         field = make_field(p, 1)
         gens = [FqMatrix.from_ints(field, m) for m in mats]
         group = group_from_generators(gens)
-        assert group.order == len(groups.closure(gens)) == _schreier_sims_order(gens)
+        order = len(group_by_enumeration(gens, ELEMENT_LIMIT))
+        assert group.order == order == _schreier_sims_order(gens)
 
     @pytest.mark.parametrize("p,e,n", [(7, 1, 2), (2, 2, 2), (3, 2, 2), (3, 1, 3), (2, 1, 3)])
     def test_output_is_strictly_sorted(self, p, e, n):
@@ -487,31 +494,36 @@ class TestClosureOracles:
 SYMPY_POINTS = 4096  # sympy's oracle acts on all q^n row vectors
 
 
-def _probes(rng, gens, elements):
-    """Seeded members and non-members: elements of the group, random
-    invertible matrices, and members times random matrices."""
+def _probes(rng, gens, members):
+    """Seeded members and non-members: the given elements of the group,
+    random invertible matrices, and members times random matrices."""
     field, r = gens[0].field, gens[0].n
-    members = rng.sample(elements, min(6, len(elements)))
     strangers = [_random_gl(rng, field, r) for _ in range(6)]
     return members + strangers + [m * x for m, x in zip(members, strangers)]
 
 
 class TestStabilizerChain:
-    """The chain's order, membership and first elements against closure
-    enumeration and sympy's Schreier-Sims."""
+    """The chain's order, membership and elements against the enumeration
+    oracle and sympy's Schreier-Sims."""
 
     def _check(self, rng, gens):
         group = group_from_generators(gens)
-        elements = groups.closure(gens)
-        assert group.order == len(elements)
+        flat = group_by_enumeration(gens, ELEMENT_LIMIT)
+        assert group.order == len(flat)
         field, r = gens[0].field, gens[0].n
         if field.q ** r <= SYMPY_POINTS:
             assert group.order == _schreier_sims_order(gens)
-        assert group.chain.smallest(4) == list(elements[:4])
-        assert group.to_json()["sample_elements"] == [m.to_coeff_rows() for m in elements[:4]]
-        members = frozenset(elements)
-        for m in _probes(rng, gens, elements):
-            assert (m in group) == (m in members), m
+        assert [flatten(m) for m in group.elements] == flat
+
+        def matrix(v):
+            return FqMatrix(field, [v[i:i + r] for i in range(0, r * r, r)])
+
+        first = [matrix(v) for v in flat[:4]]
+        assert group.chain.smallest(4) == first
+        assert group.to_json()["sample_elements"] == [m.to_coeff_rows() for m in first]
+        members = frozenset(flat)
+        for m in _probes(rng, gens, [matrix(v) for v in rng.sample(flat, min(6, len(flat)))]):
+            assert (m in group) == (flatten(m) in members), m
 
     @pytest.mark.parametrize("p,e", ORACLE_FIELDS)
     def test_span_oracle_groups(self, p, e):
@@ -554,7 +566,7 @@ class TestStabilizerChain:
     @pytest.mark.parametrize("p,e", ORACLE_FIELDS[:5])
     def test_the_cap_raises_exactly_when_the_order_exceeds_it(self, p, e):
         for gens, _ in _span_oracle_groups(p, e):
-            order = len(groups.closure(gens))
+            order = len(group_by_enumeration(gens, ELEMENT_LIMIT))
             for cap in (order, order + 1, 10 * order):
                 assert group_from_generators(gens, cap).order == order
             for cap in (order - 1, order // 2, 0):
@@ -564,8 +576,9 @@ class TestStabilizerChain:
     def test_elements_are_enumerated_on_first_access_only(self, monkeypatch):
         field = make_field(5, 1)
         calls = []
-        real_closure = groups.closure
-        monkeypatch.setattr(groups, "closure", lambda *a: calls.append(a) or real_closure(*a))
+        walk = groups.StabilizerChain.elements
+        monkeypatch.setattr(groups.StabilizerChain, "elements",
+                            lambda self: calls.append(self) or walk(self))
         group = sl2_generate(field)
         group.to_json()
         assert holonomy(FreeGroupRep.of(group.generators), group).full is True
