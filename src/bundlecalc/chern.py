@@ -26,8 +26,6 @@ from typing import Optional
 from .encoding import format_integer, format_rational, parse_rational
 from .errors import CapExceededError, DomainError
 
-Rat = Fraction
-
 
 def _rat(x) -> Fraction:
     if isinstance(x, float):

@@ -198,9 +198,11 @@ def _cmd_bounds(args, cfg) -> dict:
     if op == "ell":
         mode = _mode_from(args, cfg)
         r = parse_integer(args.r)
-        t = chern.sym_rank(r, bounds.jordan_constant(r, mode))
+        j = bounds.jordan_constant(r, mode)
+        t = chern.sym_rank(r, j)
         amb = _ambient_from(args, cfg, beta_rank=t)
-        value = bounds.ell_bound(r, parse_rational(args.c), amb, mode, args.variant)
+        value = bounds.ell_bound(r, parse_rational(args.c), amb,
+                                 bounds.JordanMode.explicit(j), args.variant)
         return {
             "ell": format_integer(value),
             "t": format_integer(t),

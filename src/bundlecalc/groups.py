@@ -1,8 +1,9 @@
-"""Finite matrix groups from generators: a stabilizer chain for order,
-membership, full holonomy and element enumeration, the two-elementary-matrix
-generation of SL(2, F_q), the Burnside matrix-algebra span test for absolute
-irreducibility, and free-group representations as desk-scale models of
-finite covers with their holonomy (image) groups.
+"""Finite matrix groups from generators, each held as its stabilizer chain
+(``FqMatrixGroup``) for order, membership, full holonomy and element
+enumeration; the two-elementary-matrix generation of SL(2, F_q), the
+Burnside matrix-algebra span test for absolute irreducibility, and
+free-group representations as desk-scale models of finite covers with their
+holonomy (image) groups.
 
 All enumerations are returned in the canonical sorted order (lexicographic
 on entry-index rows), so repeated runs are bit-identical.
@@ -57,6 +58,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from math import comb, prod
 from typing import Optional, Sequence
@@ -106,17 +108,19 @@ def _order_bound(field: FqField, n: int, generators: Sequence[FqMatrix]) -> int:
     return q ** (n * (n - 1) // 2) * prod(q ** i - 1 for i in range(2, n + 1)) * len(group)
 
 
-class StabilizerChain:
-    """A stabilizer chain of the group generated by invertible matrices,
-    for the right action on row vectors with base e_1, ..., e_n (see the
-    module docstring).  Raises CapExceededError as soon as the group is
-    proved to have more than ``cap`` elements."""
+class FqMatrixGroup:
+    """The group generated by invertible matrices, held as its stabilizer
+    chain for the right action on row vectors with base e_1, ..., e_n (see
+    the module docstring): the order, membership (``m in group``), the first
+    elements in canonical order, and the sorted element list, enumerated on
+    first access to ``elements`` and cached.  Raises CapExceededError as soon
+    as the group is proved to have more than ``cap`` elements."""
 
     def __init__(self, generators: Sequence[FqMatrix], cap: int = CLOSURE_CAP):
         self.generators = tuple(generators)
         if not self.generators:
             raise DomainError("at least one generator required", code="no_generators")
-        self.field, self.n = field, n = self.generators[0].field, self.generators[0].n
+        self.field, self.dim = field, n = self.generators[0].field, self.generators[0].n
         for g in self.generators:
             if g.field != field or g.n != n:
                 raise DomainError("generators must share a field and dimension", code="bad_matrix")
@@ -154,8 +158,8 @@ class StabilizerChain:
         """Make g a strong generator of levels top, ..., d, where e_d is the
         first base point g moves (none for the identity)."""
         act = _RowAction(g, self.places)
-        depth = next((i for i, b in enumerate(self.base) if act[b] != b), self.n)
-        if depth < self.n:
+        depth = next((i for i, b in enumerate(self.base) if act[b] != b), self.dim)
+        if depth < self.dim:
             k = len(self._acts)
             self._acts.append(act)
             self._inverse_acts.append(_RowAction(g.inverse(), self.places))
@@ -196,7 +200,7 @@ class StabilizerChain:
         first, until all sift to the identity or the order is exact.  The
         last level has none to sift: an element of its group that fixes
         e_n fixes every base point, so it is the identity."""
-        n = self.n
+        n = self.dim
         level = n - 2
         while level >= 0:
             points, paired, gens = self._points[level], self._paired[level], self._gens[level]
@@ -240,7 +244,7 @@ class StabilizerChain:
         the orbit at level i, walk it back to e_i with inverse generators.
         Returns the residue and the level it stopped at: n when h is in the
         group, and the residue is then the identity."""
-        n = self.n
+        n = self.dim
         for i in range(level, n):
             tree, beta = self._trees[i], self.base[i]
             point = h[i]
@@ -260,10 +264,12 @@ class StabilizerChain:
         return FqMatrix._make(self.field, tuple(tuple(r // p % q for p in self.places)
                                                 for r in rows))
 
-    def contains(self, m: FqMatrix) -> bool:
-        """Membership of a matrix of the chain's field and dimension, by sifting."""
+    def __contains__(self, m: FqMatrix) -> bool:
+        """Membership, by sifting."""
+        if m.field != self.field or m.n != self.dim:
+            return False
         rows = [sum(map(operator.mul, row, self.places)) for row in m.rows]
-        return self._sift(rows)[1] == self.n
+        return self._sift(rows)[1] == self.dim
 
     def smallest(self, k: int) -> list[FqMatrix]:
         """The first k elements in canonical order, by a best-first descent.
@@ -275,7 +281,7 @@ class StabilizerChain:
         choice leads to at least one element, so a level needs only its
         k smallest images."""
         found: list[tuple[int, ...]] = []
-        last = self.n - 1
+        last = self.dim - 1
 
         def descend(level: int, c: Optional[_RowAction], rows: tuple[int, ...]) -> None:
             points = self._points[level]
@@ -295,9 +301,13 @@ class StabilizerChain:
             descend(0, None, ())
         return [self._matrix(rows) for rows in found]
 
+    @cached_property
     def elements(self) -> tuple[FqMatrix, ...]:
+        return self._walk()
+
+    def _walk(self) -> tuple[FqMatrix, ...]:
         """Every element in canonical order, by the Schreier-tree walk (module docstring)."""
-        n, q = self.n, self.field.q
+        n, q = self.dim, self.field.q
         columns = [[b] for b in self.base]  # one list of packed rows per row position
         for level in range(n - 1, -1, -1):
             size, points, tree = len(columns[0]), self._points[level], self._trees[level]
@@ -320,42 +330,6 @@ class StabilizerChain:
         del codes
         return tuple(map(FqMatrix._make, repeat(self.field), zip(*columns)))
 
-
-class FqMatrixGroup:
-    """A finite matrix group given by generators, answered from its
-    stabilizer chain: the order, membership (``m in group``) and the first
-    elements in canonical order.  The sorted element list is enumerated from
-    the chain on first access to ``elements`` and cached; it may instead be
-    supplied, and is then taken as given."""
-
-    def __init__(self, field: FqField, dim: int, generators: Sequence[FqMatrix],
-                 elements: Optional[Sequence[FqMatrix]] = None,
-                 chain: Optional[StabilizerChain] = None):
-        self.field = field
-        self.dim = dim
-        self.generators = tuple(generators)
-        self._elements = None if elements is None else tuple(elements)
-        self._chain = chain
-
-    @property
-    def chain(self) -> StabilizerChain:
-        if self._chain is None:
-            self._chain = StabilizerChain(self.generators)
-        return self._chain
-
-    @property
-    def order(self) -> int:
-        return self.chain.order
-
-    @property
-    def elements(self) -> tuple[FqMatrix, ...]:
-        if self._elements is None:
-            self._elements = self.chain.elements()
-        return self._elements
-
-    def __contains__(self, m: FqMatrix) -> bool:
-        return m.field == self.field and m.n == self.dim and self.chain.contains(m)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FqMatrixGroup)
@@ -372,21 +346,19 @@ class FqMatrixGroup:
         return {
             "order": format_integer(self.order),
             "generators": [g.to_coeff_rows() for g in self.generators],
-            "sample_elements": [m.to_coeff_rows() for m in self.chain.smallest(sample)],
+            "sample_elements": [m.to_coeff_rows() for m in self.smallest(sample)],
         }
 
 
 def closure(generators: Sequence[FqMatrix], cap: int = CLOSURE_CAP) -> tuple[FqMatrix, ...]:
     """The sorted elements of the group generated, from its stabilizer chain
     (kept under this name: the holonomy benchmark traces calls to it)."""
-    return StabilizerChain(generators, cap).elements()
+    return FqMatrixGroup(generators, cap).elements
 
 
 def group_from_generators(generators: Sequence[FqMatrix], cap: int = CLOSURE_CAP) -> FqMatrixGroup:
-    """The group generated, with its stabilizer chain built (so a group of
-    more than ``cap`` elements raises CapExceededError here)."""
-    chain = StabilizerChain(generators, cap)
-    return FqMatrixGroup(chain.field, chain.n, chain.generators, chain=chain)
+    """The group generated, ``FqMatrixGroup(generators, cap)``."""
+    return FqMatrixGroup(generators, cap)
 
 
 def sl2_elementary_generators(field: FqField) -> list[FqMatrix]:

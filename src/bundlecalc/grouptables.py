@@ -13,17 +13,19 @@ the walk adds one at a time (an abelian group has none, and is returned).
 Starting at Z keeps the walk small: on (Z/2)^5 x D4 it meets 4 subgroups,
 against 10 178 from the trivial group.
 
-A table built from a matrix group is filled from the left-multiplication
-permutations of its generators, (g * x) * y = g * (x * y), so it needs
-n * |gens| matrix products instead of n^2.  Every table, however built, is
-checked for associativity by Light's test: (x * a) * y = x * (a * y) for all
-x, y and every a in a generating set, which costs O(n^2 |gens|) instead of
-O(n^3).
+A raw table is checked at construction: its shape, an identity, inverses,
+and associativity by Light's test, (x * a) * y = x * (a * y) for all x, y
+and every a in a generating set, which costs O(n^2 |gens|) instead of
+O(n^3).  A table built from a matrix group is correct by construction, so
+it skips those checks: matrix multiplication is associative, and the
+group's stabilizer chain has proved its elements closed.  It is filled from
+the left-multiplication permutations of the generators, (g * x) * y =
+g * (x * y), so it needs n * |gens| matrix products instead of n^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .encoding import format_integer
@@ -44,13 +46,13 @@ class FiniteGroupTable:
     elements a with (x * a) * y = x * (a * y) for all x, y are closed under
     the product, so it suffices to check a over a generating set.  The set
     is chosen greedily, in index order, among the elements not yet reached
-    as left-normed products of those already chosen.
+    as left-normed products of those already chosen.  ``_make`` is the
+    trusted constructor, for tables that are group tables by construction.
     """
 
     order: int
     table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    identity: int = -1  # filled in during validation
+    identity: int = field(default=-1, init=False)  # found during validation
 
     def __post_init__(self):
         n = self.order
@@ -62,10 +64,7 @@ class FiniteGroupTable:
         for row in table:
             if not (0 <= min(row) and max(row) < n):
                 raise DomainError("table entries must be element indices", code="bad_table")
-        if len(self.labels) != n:
-            raise DomainError("one label per element required", code="bad_table")
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         ident = None
         for e in range(n):
             if all(table[e][x] == x and table[x][e] == x for x in range(n)):
@@ -87,11 +86,19 @@ class FiniteGroupTable:
                         f"associativity fails at ({x}, {a})", code="bad_table"
                     )
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+    @classmethod
+    def _make(cls, table: tuple[tuple[int, ...], ...], identity: int) -> "FiniteGroupTable":
+        """Trusted constructor: table must already be the tuple of tuples of
+        a group's multiplication table, with its identity at that index."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "order", len(table))
+        object.__setattr__(t, "table", table)
+        object.__setattr__(t, "identity", identity)
+        return t
 
     def inv(self, a: int) -> int:
         # every row holds the identity: inverses are verified at construction
+        # of a raw table, and exist by construction in a matrix group's
         return self.table[a].index(self.identity)
 
     def is_abelian(self) -> bool:
@@ -144,24 +151,18 @@ def _greedy_generators(table: tuple[tuple[int, ...], ...], identity: int) -> lis
 
 
 def table_from_matrix_group(g: FqMatrixGroup) -> FiniteGroupTable:
-    """Multiplication table of a matrix group under its canonical order.
+    """Multiplication table of a matrix group under its canonical order,
+    built by the trusted constructor (module docstring).
 
     Row h * x of the table is row x mapped through the left-multiplication
     permutation of generator h, so the rows are filled breadth-first from
-    the identity's.  The group must be consistent: its elements closed
-    under left multiplication by the generators, which reach every element
-    from the identity.
+    the identity's; the generators reach every element.
     """
     elements = g.elements
     n = len(elements)
     index = {m: i for i, m in enumerate(elements)}
-    try:
-        perms = [[index[h * m] for m in elements] for h in g.generators]
-        ident = index[FqMatrix.identity(g.field, g.dim)]
-    except KeyError:
-        raise DomainError(
-            "the group's elements are not closed under its generators", code="bad_group"
-        ) from None
+    perms = [[index[h * m] for m in elements] for h in g.generators]
+    ident = index[FqMatrix.identity(g.field, g.dim)]
     rows: list[tuple[int, ...] | None] = [None] * n
     rows[ident] = tuple(range(n))
     frontier = [ident]
@@ -175,12 +176,7 @@ def table_from_matrix_group(g: FqMatrixGroup) -> FiniteGroupTable:
                     rows[hx] = tuple(map(perm.__getitem__, row))
                     new.append(hx)
         frontier = new
-    if None in rows:
-        raise DomainError(
-            "the group's generators do not reach every element", code="bad_group"
-        )
-    labels = tuple(m.label() for m in elements)
-    return FiniteGroupTable(n, tuple(rows), labels)
+    return FiniteGroupTable._make(tuple(rows), ident)
 
 
 def _grow(t: FiniteGroupTable, subgroup: frozenset[int], cls: Sequence[int]) -> frozenset[int]:

@@ -153,18 +153,6 @@ class FqMatrix:
     def __repr__(self) -> str:
         return f"FqMatrix({self.rows})"
 
-    def label(self) -> str:
-        """Compact deterministic label using coefficient tuples."""
-        f = self.field
-        if f.e == 1:
-            body = ";".join(",".join(str(x) for x in row) for row in self.rows)
-        else:
-            body = ";".join(
-                ",".join("".join(str(c) for c in f.coeffs(x)) for x in row)
-                for row in self.rows
-            )
-        return f"[{body}]"
-
 
 def flatten(m: FqMatrix) -> tuple[int, ...]:
     return tuple(x for row in m.rows for x in row)

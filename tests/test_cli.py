@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bundlecalc import CapExceededError, FqMatrix, groups, make_field
+from bundlecalc import CapExceededError, FqMatrix, bounds, groups, make_field
 from bundlecalc.cli import main
 from bundlecalc.encoding import format_integer, format_rational
 
@@ -88,6 +89,15 @@ class TestBoundsCommands:
         )
         assert code == 0
         assert json.loads(out) == {"ell": "2", "t": "2", "variant": "as_printed"}
+
+    def test_ell_computes_j_once(self, capsys, monkeypatch):
+        calls = []
+        surd = bounds.schur_surd_multiple
+        monkeypatch.setattr(bounds, "schur_surd_multiple", lambda r: calls.append(r) or surd(r))
+        code, out, err = run(capsys, "bounds", "ell", "--r", "10", "--c", "1", "--assume-beta-zero")
+        assert (code, err, calls) == (0, "", [10])
+        assert len(out) == 5417 and hashlib.sha256(out.encode()).hexdigest() == (
+            "8f59933dbdee10d3049e9c97b56340342560da7ec7222fa0119e28973aa1114f")
 
     def test_report(self, capsys):
         code, out, _ = run(
@@ -399,10 +409,10 @@ class TestJordanCap:
 
     def test_one_chain_enumerated_once(self, capsys, monkeypatch):
         built, walked = [], []
-        init, walk = groups.StabilizerChain.__init__, groups.StabilizerChain.elements
-        monkeypatch.setattr(groups.StabilizerChain, "__init__",
+        init, walk = groups.FqMatrixGroup.__init__, groups.FqMatrixGroup._walk
+        monkeypatch.setattr(groups.FqMatrixGroup, "__init__",
                             lambda self, *a, **k: built.append(self) or init(self, *a, **k))
-        monkeypatch.setattr(groups.StabilizerChain, "elements",
+        monkeypatch.setattr(groups.FqMatrixGroup, "_walk",
                             lambda self: walked.append(self) or walk(self))
         code, out, _ = run(capsys, "hol", "jordan-verify", "--p", "7",
                            "--gens", "[[[1,1],[0,1]],[[3,0],[0,5]]]", "--r", "2", "--mode", "schur")

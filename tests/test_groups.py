@@ -519,7 +519,7 @@ class TestStabilizerChain:
             return FqMatrix(field, [v[i:i + r] for i in range(0, r * r, r)])
 
         first = [matrix(v) for v in flat[:4]]
-        assert group.chain.smallest(4) == first
+        assert group.smallest(4) == first
         assert group.to_json()["sample_elements"] == [m.to_coeff_rows() for m in first]
         members = frozenset(flat)
         for m in _probes(rng, gens, [matrix(v) for v in rng.sample(flat, min(6, len(flat)))]):
@@ -576,8 +576,8 @@ class TestStabilizerChain:
     def test_elements_are_enumerated_on_first_access_only(self, monkeypatch):
         field = make_field(5, 1)
         calls = []
-        walk = groups.StabilizerChain.elements
-        monkeypatch.setattr(groups.StabilizerChain, "elements",
+        walk = groups.FqMatrixGroup._walk
+        monkeypatch.setattr(groups.FqMatrixGroup, "_walk",
                             lambda self: calls.append(self) or walk(self))
         group = sl2_generate(field)
         group.to_json()
@@ -593,13 +593,6 @@ class TestStabilizerChain:
         assert pair == sl2 and hash(pair) == hash(sl2)
         upper = group_from_generators(sl2_elementary_generators(field)[:1])
         assert upper != sl2 and sl2 != upper
-
-    def test_supplied_elements_are_taken_as_given(self):
-        field = make_field(3, 1)
-        u = FqMatrix.from_ints(field, [[1, 1], [0, 1]])
-        elements = sl2_generate(field).elements
-        group = groups.FqMatrixGroup(field, 2, (u,), elements)
-        assert group.elements == elements and group.order == 3
 
     def test_holonomy_is_full_only_for_the_same_field_and_dimension(self):
         f9 = make_field(3, 2)
