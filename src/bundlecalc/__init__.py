@@ -51,12 +51,7 @@ from .groups import (
     holonomy,
     sl2_generate,
 )
-from .grouptables import (
-    FiniteGroupTable,
-    JordanCertificate,
-    jordan_verify,
-    table_from_matrix_group,
-)
+from .grouptables import JordanCertificate, jordan_verify, table_from_matrix_group
 from .hn import (
     CoverData,
     EtaleVerdict,
@@ -84,7 +79,6 @@ __all__ = [
     "CoverData",
     "DomainError",
     "EtaleVerdict",
-    "FiniteGroupTable",
     "FqField",
     "FqMatrix",
     "FqMatrixGroup",

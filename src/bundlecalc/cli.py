@@ -127,32 +127,11 @@ def _field_from(args):
     return make_field(parse_integer(args.p), parse_integer(args.e), modulus)
 
 
-def _matrix_from_json(field, obj) -> FqMatrix:
-    if not isinstance(obj, list):
-        raise DomainError("matrix must be a nested JSON array", code="bad_matrix")
-    rows = []
-    for row in obj:
-        if not isinstance(row, list):
-            raise DomainError("matrix rows must be arrays", code="bad_matrix")
-        entries = []
-        for cell in row:
-            if isinstance(cell, int):
-                entries.append(field.from_int(cell))
-            elif isinstance(cell, list):
-                entries.append(field.index([int(c) for c in cell]))
-            else:
-                raise DomainError(
-                    "matrix entries must be ints or coefficient vectors", code="bad_matrix"
-                )
-        rows.append(entries)
-    return FqMatrix(field, rows)
-
-
 def _matrices_from_arg(field, raw: str, what: str) -> list[FqMatrix]:
     data = _json_arg(raw, what)
     if not isinstance(data, list) or not data:
         raise DomainError(f"{what} must be a nonempty JSON list", code="bad_matrix")
-    return [_matrix_from_json(field, m) for m in data]
+    return [FqMatrix.from_json(field, m) for m in data]
 
 
 # -- subcommand implementations ------------------------------------------
@@ -213,11 +192,7 @@ def _cmd_bounds(args, cfg) -> dict:
     if args.deltas is not None:
         deltas = [parse_rational(d) for d in _json_list(args.deltas, "--deltas")]
     ranks = sorted({s.rank for s in summands if s.rank >= 2})
-    amb = cfg.ambient
-    if args.beta is not None and len(ranks) == 1:
-        amb = _ambient_from(args, cfg, beta_rank=ranks[0])
-    else:
-        amb = _ambient_from(args, cfg)
+    amb = _ambient_from(args, cfg, ranks[0] if len(ranks) == 1 else None)
     return bounds.restriction_report(summands, amb, deltas).to_json()
 
 
@@ -318,17 +293,13 @@ def _cmd_hol(args, cfg) -> dict:
     # jordan-verify
     gens = _matrices_from_arg(field, args.gens, "--gens")
     group = groups.group_from_generators(gens, cap=cfg.caps.closure)
-    if group.order > cfg.caps.jordan_order:
-        raise CapExceededError(
-            f"group order {group.order} exceeds the configured cap {cfg.caps.jordan_order}"
-        )
-    table = grouptables.table_from_matrix_group(group)
+    table = grouptables.table_from_matrix_group(group, cfg.caps.jordan_order)
     r = parse_integer(args.r)
     if args.j is not None:
         j = parse_integer(args.j)
     else:
         j = bounds.jordan_constant(r, _mode_from(args, cfg))
-    return grouptables.jordan_verify(table, r, j, cfg.caps.jordan_order).to_json()
+    return grouptables.jordan_verify(table, r, j).to_json()
 
 
 def _cmd_selftest(args, cfg) -> int:

@@ -78,8 +78,12 @@ def _parse_caps(obj) -> Caps:
     extra = set(obj) - allowed
     if extra:
         raise DomainError(f"unknown caps keys: {sorted(extra)}", code="bad_config")
+    q_max = parse_integer(obj.get("q_max", Q_CAP))
+    if q_max > Q_CAP:
+        # make_field rejects q > Q_CAP itself: a configured cap can lower it, not raise it
+        raise DomainError(f"q_max must be at most {Q_CAP}", code="bad_config")
     return Caps(
-        q_max=parse_integer(obj.get("q_max", Q_CAP)),
+        q_max=q_max,
         closure=parse_integer(obj.get("closure", CLOSURE_CAP)),
         jordan_order=parse_integer(obj.get("jordan_order", JORDAN_ORDER_CAP)),
     )

@@ -22,6 +22,10 @@ from .errors import DomainError
 from .fields import FqField
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class FqMatrix:
     """An r x r matrix over an FqField."""
 
@@ -65,9 +69,28 @@ class FqMatrix:
         return FqMatrix(field, [[field.from_int(x) for x in row] for row in rows])
 
     @staticmethod
-    def from_coeff_rows(field: FqField, rows) -> "FqMatrix":
-        """Build from nested coefficient vectors (the JSON wire format)."""
-        return FqMatrix(field, [[field.index(c) for c in row] for row in rows])
+    def from_json(field: FqField, obj) -> "FqMatrix":
+        """Decode the JSON wire format: a list of rows, each entry an int
+        (its prime-field image) or a coefficient vector of ints.  A bool or
+        a float is not an int here."""
+        if not isinstance(obj, list):
+            raise DomainError("matrix must be a nested JSON array", code="bad_matrix")
+        rows = []
+        for row in obj:
+            if not isinstance(row, list):
+                raise DomainError("matrix rows must be arrays", code="bad_matrix")
+            entries = []
+            for cell in row:
+                if _is_int(cell):
+                    entries.append(field.from_int(cell))
+                elif isinstance(cell, list) and all(map(_is_int, cell)):
+                    entries.append(field.index(cell))
+                else:
+                    raise DomainError(
+                        "matrix entries must be ints or coefficient vectors", code="bad_matrix"
+                    )
+            rows.append(entries)
+        return FqMatrix(field, rows)
 
     def to_coeff_rows(self) -> list[list[list[int]]]:
         f = self.field

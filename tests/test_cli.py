@@ -157,6 +157,21 @@ class TestConfig:
         code, out, _ = run(capsys, "bounds", "langer", "--rank", "2", "--c2", "5")
         assert code == 0 and json.loads(out) == {"k": "10"}
 
+    def test_q_max_above_the_field_cap_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"caps": {"q_max": 200}}')
+        code, out, err = run(capsys, "--config", str(cfg), "hol", "field", "--p", "101")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "bad_config", "message": "q_max must be at most 81"}
+
+    def test_q_max_below_the_field_cap_applies(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"caps": {"q_max": 4}}')
+        code, out, err = run(capsys, "--config", str(cfg), "hol", "field", "--p", "2", "--e", "3")
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "cap_exceeded",
+                                   "message": "field size 8 exceeds the configured cap 4"}
+
     def test_flag_after_subcommand(self, capsys):
         code, out, _ = run(capsys, "chern", "disc", "--rank", "2", "--c2", "5",
                            "--output", "table")
@@ -258,6 +273,18 @@ class TestJsonShapes:
         code, out, err = run(capsys, "serre", "check", "--m-degree", "1", "--plan", plan)
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "bad_plan", "message": f"missing plan fields: {missing}"}
+
+    @pytest.mark.parametrize("images", [
+        '[[[["a"], [0]], [[0], [1]]]]',
+        '[[[[[1]], [0]], [[0], [1]]]]',
+        '[[[[1.5], [0]], [[0], [1]]]]',
+        '[[[true, 0], [0, 1]]]',
+    ], ids=["string", "nested", "float", "bool"])
+    def test_a_matrix_entry_that_is_not_an_int(self, capsys, images):
+        code, out, err = run(capsys, "hol", "holonomy", "--p", "3", "--images", images)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "bad_matrix",
+                                   "message": "matrix entries must be ints or coefficient vectors"}
 
 
 class TestMalformedInputsNeverPanic:
@@ -493,3 +520,11 @@ class TestBadNumberMessages:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "bad_number",
                                    "message": f"expected an integer, got {shown}"}
+
+
+def test_every_public_name_resolves():
+    import bundlecalc
+
+    assert len(set(bundlecalc.__all__)) == len(bundlecalc.__all__)
+    for name in bundlecalc.__all__:
+        assert getattr(bundlecalc, name) is not None, name
