@@ -290,15 +290,22 @@ def _cmd_hol(args, cfg) -> dict:
             "dim": format_integer(out.dim),
             "images": [m.to_coeff_rows() for m in out.images],
         }
-    # jordan-verify
+    # jordan-verify: the arguments are checked before the group and its
+    # table are built, with the messages of jordan_constant and
+    # jordan_verify (which check again); J(r) is computed after the table
+    r = parse_integer(args.r)
+    j = None if args.j is None else parse_integer(args.j)
+    mode = _mode_from(args, cfg) if j is None else None
+    if r < 1:
+        message = "rank must be positive" if j is None else "degree must be positive"
+        raise DomainError(message, code="bad_rank")
+    if j is not None and j < 1:
+        raise DomainError("bound must be >= 1", code="bad_mode")
     gens = _matrices_from_arg(field, args.gens, "--gens")
     group = groups.group_from_generators(gens, cap=cfg.caps.closure)
     table = grouptables.table_from_matrix_group(group, cfg.caps.jordan_order)
-    r = parse_integer(args.r)
-    if args.j is not None:
-        j = parse_integer(args.j)
-    else:
-        j = bounds.jordan_constant(r, _mode_from(args, cfg))
+    if j is None:
+        j = bounds.jordan_constant(r, mode)
     return grouptables.jordan_verify(table, r, j).to_json()
 
 

@@ -12,7 +12,7 @@ Rows are packed: a row is a base-q integer of its entry indices, big-endian,
 so integer order is the canonical row order, and a matrix is a tuple (to be
 sorted, a base-q^n integer) of its rows.  Right multiplication by a matrix
 g maps each row independently, through a table from packed row to packed
-row that is filled as rows are met (``_RowAction``).
+row that is filled as rows are met (``_row_action``).
 
 The stabilizer chain is deterministic Schreier-Sims (Sims 1970; Seress,
 *Permutation Group Algorithms*, ch. 4) for the right action of matrices on
@@ -46,11 +46,11 @@ pair (row i of h u is e_i u, the orbit point of u).  So the walk is exact:
 it makes as many distinct elements as the order.  The products at an orbit
 point are those at its parent times the tree edge's generator.
 
-The span test runs on whole rows as well: a flattened matrix is one
-``bytes`` of entry indices (q <= 81 < 256).  Scaling is one
-``bytes.translate``; a sum is taken on the e base-p digit planes of its
-terms, each plane one big integer, and reduced mod p by one more
-``translate`` before any byte could carry.
+The span test runs on whole vectors in one layout for every q = p^e: an
+entry is its e base-p digits in adjacent bytes, a flattened matrix one
+integer.  A sum of terms is one integer addition (no carry while a byte
+holds at most 255 // (p - 1) terms), a reduction mod p one ``translate``,
+and an entry is read by one masked shift and a memo of entry indices.
 """
 
 from __future__ import annotations
@@ -72,28 +72,34 @@ CLOSURE_CAP = 10 ** 6
 SPAN_DIM_CAP = 256
 
 
-class _RowAction(dict):
+class _Memo(dict):
+    """key -> fn(key), computed the first time the key is met."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _row_action(g: FqMatrix, places: list[int]) -> _Memo:
     """Packed row v -> packed row v * g for one matrix g, computed from the
     field tables the first time v is met."""
+    cols, q, add, mul = tuple(zip(*g.rows)), g.field.q, g.field.add_table, g.field.mul_table
 
-    def __init__(self, g: FqMatrix, places: list[int]):
-        super().__init__()
-        self.cols = tuple(zip(*g.rows))
-        self.field = g.field
-        self.places = places
-
-    def __missing__(self, row: int) -> int:
-        f = self.field
-        q, add, mul = f.q, f.add_table, f.mul_table
-        v = [row // p % q for p in self.places]
+    def times(row: int) -> int:
+        v = [row // p % q for p in places]
         out = 0
-        for col in self.cols:
+        for col in cols:
             acc = 0
             for x, y in zip(v, col):
                 acc = add[acc][mul[x][y]]
             out = out * q + acc
-        self[row] = out
         return out
+
+    return _Memo(times)
 
 
 def _order_bound(field: FqField, n: int, generators: Sequence[FqMatrix]) -> int:
@@ -130,8 +136,8 @@ class FqMatrixGroup:
         q = field.q
         self.places = [q ** (n - 1 - j) for j in range(n)]
         self.base = tuple(field.one * p for p in self.places)  # e_1, ..., e_n packed
-        self._acts: list[_RowAction] = []  # the strong generators
-        self._inverse_acts: list[_RowAction] = []
+        self._acts: list[_Memo] = []  # the strong generators
+        self._inverse_acts: list[_Memo] = []
         self._gens: list[list[int]] = [[] for _ in range(n)]  # level -> strong generators
         self._trees: list[dict] = [{b: None} for b in self.base]  # point -> (parent, generator)
         self._points: list[list[int]] = [[b] for b in self.base]  # breadth-first order
@@ -157,12 +163,12 @@ class FqMatrixGroup:
     def _add_generator(self, g: FqMatrix, top: int) -> None:
         """Make g a strong generator of levels top, ..., d, where e_d is the
         first base point g moves (none for the identity)."""
-        act = _RowAction(g, self.places)
+        act = _row_action(g, self.places)
         depth = next((i for i, b in enumerate(self.base) if act[b] != b), self.dim)
         if depth < self.dim:
             k = len(self._acts)
             self._acts.append(act)
-            self._inverse_acts.append(_RowAction(g.inverse(), self.places))
+            self._inverse_acts.append(_row_action(g.inverse(), self.places))
             for level in range(top, depth + 1):
                 self._gens[level].append(k)
                 self._first[level] = 0
@@ -283,7 +289,7 @@ class FqMatrixGroup:
         found: list[tuple[int, ...]] = []
         last = self.dim - 1
 
-        def descend(level: int, c: Optional[_RowAction], rows: tuple[int, ...]) -> None:
+        def descend(level: int, c: Optional[_Memo], rows: tuple[int, ...]) -> None:
             points = self._points[level]
             images = points if c is None else map(c.__getitem__, points)
             for image, point in heapq.nsmallest(k - len(found), zip(images, points)):
@@ -292,7 +298,7 @@ class FqMatrixGroup:
                 else:
                     u = self._transversal_rows(level, point)
                     below = u if c is None else [c[r] for r in u]
-                    descend(level + 1, _RowAction(self._matrix(below), self.places),
+                    descend(level + 1, _row_action(self._matrix(below), self.places),
                             rows + (image,))
                 if len(found) == k:
                     return
@@ -410,100 +416,94 @@ def burnside_irreducible(gens: Sequence[FqMatrix]) -> BurnsideResult:
     incrementally (multiplying basis elements by generators) until the
     dimension stabilizes; the group itself is never enumerated.
 
-    Vectors are ``bytes`` of entry indices, held as digit-plane integers
-    while terms are added (see the module docstring).  The basis is in
-    echelon form, each row scaled to a pivot entry 1 found by ``lstrip``; a
-    product m*g is the sum over k of the outer products (column k of m) x
-    (row k of g), each one ``join`` of translated rows of g.
-
-    An empty generator list is the trivial group (span dimension 1).
+    Vectors are digit-layout integers (see the module docstring).  The basis
+    is semi-echelon in insertion order, each row scaled to a pivot entry 1;
+    rows never change once in, so their negated multiples (-c)*row are
+    cached as they are met.  A product m*g is the sum over k of the outer
+    products (column k of m) x (row k of g), each a ``join`` of multiples of
+    row k of g.  The span dimension does not depend on the basis chosen.
     """
-    if gens:
-        field = gens[0].field
-        r = gens[0].n
-        for g in gens:
-            if g.field != field or g.n != r:
-                raise DomainError("generators must share a field and dimension", code="bad_matrix")
-    else:
+    if not gens:
         raise DomainError("at least one matrix (or the identity) required", code="no_generators")
+    f, r = gens[0].field, gens[0].n
+    if any(g.field != f or g.n != r for g in gens):
+        raise DomainError("generators must share a field and dimension", code="bad_matrix")
     if r * r > SPAN_DIM_CAP:
         raise CapExceededError(f"span dimension {r * r} exceeds the cap {SPAN_DIM_CAP}")
 
-    f = field
     p, e, q, n = f.p, f.e, f.q, r * r
+    width, bits, mask = n * e, 8 * e, (1 << 8 * e) - 1  # a vector's bytes; an entry's bits
     pad = bytes(256 - q)
     weights = [p ** (e - 1 - k) for k in range(e)]
     digit = [bytes(i // w % p for i in range(q)) + pad for w in weights]
     scale = [bytes(row) + pad for row in f.mul_table]
-    # times[c][k] takes a vector v to digit plane k of c*v
-    times = [[row.translate(t) for t in digit] for row in scale]
-    minus = [times[c] for c in f.neg_table]
     mod_p = bytes(i % p for i in range(256))
-    room = 255 // (p - 1)  # terms a plane holds before a byte could carry
-    shifts = [8 * (n - 1 - i) for i in range(n)]
+    room = 255 // (p - 1)  # terms a vector holds before a byte could carry
+    # an entry's index from its e bytes, however many terms they hold
+    coeff = _Memo(lambda raw: sum(w * (d % p) for w, d in zip(weights, raw.to_bytes(e, "big"))))
 
-    def reduced(planes: list[int]) -> list[int]:
-        return [int.from_bytes(x.to_bytes(n, "big").translate(mod_p), "big") for x in planes]
+    def spread(v: bytes) -> bytearray:
+        """The digits of the entries v: e adjacent bytes per entry."""
+        out = bytearray(len(v) * e)
+        for k, t in enumerate(digit):
+            out[k::e] = v.translate(t)
+        return out
 
-    def packed(planes: list[int]) -> bytes:
-        return sum(map(operator.mul, weights, planes)).to_bytes(n, "big")
+    def reduced(x: int) -> int:
+        return int.from_bytes(x.to_bytes(width, "big").translate(mod_p), "big")
 
-    def product(m: bytes, outer: list) -> list[int]:
-        """Digit planes of m*g, from outer[k][j][c] = plane j of c * (row k of g)."""
-        planes = [0] * e
-        load = 0
+    def indices(x: int) -> bytes:
+        """The entry indices of a reduced vector."""
+        b = x.to_bytes(width, "big")
+        return sum(w * int.from_bytes(b[k::e], "big")
+                   for k, w in enumerate(weights)).to_bytes(n, "big")
+
+    def product(m: bytes, outer: list[list[memoryview]]) -> int:
+        """m*g, from outer[k][c] = the digits of c * (row k of g)."""
+        x = load = 0
         for k, terms in enumerate(outer):
             if load == room:
-                planes, load = reduced(planes), 1
-            column = m[k::r]
-            planes = [x + int.from_bytes(b"".join(map(t.__getitem__, column)), "big")
-                      for x, t in zip(planes, terms)]
+                x, load = reduced(x), 1
+            x += int.from_bytes(b"".join(map(terms.__getitem__, m[k::r])), "big")
             load += 1
-        return reduced(planes)
+        return reduced(x)
 
-    basis: list[tuple[int, bytes]] = []  # (shift of the pivot byte, row with pivot 1)
+    basis: list[tuple[int, _Memo]] = []  # (shift of the pivot entry, c -> (-c)*row)
 
-    def reduce_and_insert(planes: list[int]) -> bool:
+    def insert(x: int) -> bool:
         load = 1
-        for shift, row in basis:
-            c = 0
-            for w, x in zip(weights, planes):
-                c += w * (((x >> shift) & 255) % p)
-            if c:  # x - c*y = x + (-c)*y
+        for shift, minus in basis:
+            c = coeff[x >> shift & mask]
+            if c:
                 if load == room:
-                    planes, load = reduced(planes), 1
-                planes = [x + int.from_bytes(row.translate(t), "big")
-                          for x, t in zip(planes, minus[c])]
+                    x, load = reduced(x), 1
+                x += minus[c]
                 load += 1
-        planes = reduced(planes)
-        if not any(planes):
+        x = reduced(x)
+        if not x:
             return False
-        vec = packed(planes)
-        pivot = n - len(vec.lstrip(b"\0"))
-        basis.append((shifts[pivot], vec.translate(scale[f.inv(vec[pivot])])))
+        shift = (x.bit_length() - 1) // bits * bits
+        row = indices(x).translate(scale[f.inv(coeff[x >> shift])])
+        minus = _Memo(lambda c: int.from_bytes(spread(row.translate(scale[f.neg(c)])), "big"))
+        basis.append((shift, minus))
         return True
 
+    def multiples(v: bytes) -> list[memoryview]:
+        """The digits of c*v for every c, from one spread of them all."""
+        out = memoryview(spread(b"".join(v.translate(t) for t in scale[:q])))
+        return [out[i:i + len(v) * e] for i in range(0, len(out), len(v) * e)]
+
     flat = [bytes(flatten(g)) for g in gens]
-    # outer[k][j][c]: digit plane j of c * (row k of g), for each generator g
-    outers = [[[[g[k * r:(k + 1) * r].translate(t[j]) for t in times] for j in range(e)]
-               for k in range(r)] for g in flat]
+    outers = [[multiples(g[k * r:(k + 1) * r]) for k in range(r)] for g in flat]
     identity = bytes(flatten(FqMatrix.identity(f, r)))
-    members = []
-    for v in [identity] + flat:
-        if reduce_and_insert([int.from_bytes(v.translate(t), "big") for t in digit]):
-            members.append(v)
-    frontier = members
+    frontier = [v for v in [identity] + flat if insert(int.from_bytes(spread(v), "big"))]
     while frontier and len(basis) < n:
         new = []
-        for m in frontier:
-            for outer in outers:
-                planes = product(m, outer)
-                if reduce_and_insert(planes):
-                    new.append(packed(planes))
-                    if len(basis) == n:
-                        break
-            if len(basis) == n:
-                break
+        for x in (product(m, outer) for m in frontier for outer in outers):
+            if insert(x):
+                new.append(indices(x))
+                if len(basis) == n:
+                    break
         frontier = new
     span = len(basis)
     return BurnsideResult(span == n, span)

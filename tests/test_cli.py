@@ -448,6 +448,40 @@ class TestJordanCap:
         assert len(built) == 1 and walked == built
 
 
+class TestJordanArguments:
+    """hol jordan-verify checks --r, --j and the mode before it builds the
+    group and its table, with the messages of jordan_constant and
+    jordan_verify."""
+
+    SL2 = "[[[1,1],[0,1]],[[1,0],[1,1]]]"
+
+    def test_a_bad_rank_wins_over_the_order_cap(self, capsys):
+        # SL(2, F_17) has order 4896, over the Jordan cap
+        code, out, err = run(capsys, "hol", "jordan-verify", "--p", "17", "--gens", self.SL2,
+                             "--r", "0", "--j", "5")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "bad_rank", "message": "degree must be positive"}
+
+    @pytest.mark.parametrize("flags,error,message", [
+        (["--r", "0", "--j", "5"], "bad_rank", "degree must be positive"),
+        (["--r", "0", "--j", "0"], "bad_rank", "degree must be positive"),
+        (["--r", "2", "--j", "0"], "bad_mode", "bound must be >= 1"),
+        (["--r", "0", "--mode", "schur"], "bad_rank", "rank must be positive"),
+        (["--r", "2", "--mode", "weisfeiler"], "bad_mode", "weisfeiler mode requires --a and --b"),
+    ])
+    def test_no_group_is_walked_before_the_checks(self, capsys, monkeypatch, flags, error,
+                                                  message):
+        walked = []
+        walk = groups.FqMatrixGroup._walk
+        monkeypatch.setattr(groups.FqMatrixGroup, "_walk",
+                            lambda self: walked.append(self) or walk(self))
+        code, out, err = run(capsys, "hol", "jordan-verify", "--p", "7", "--gens", self.SL2,
+                             *flags)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": error, "message": message}
+        assert walked == []
+
+
 class TestArgumentsPastTheMathLimits:
     """Arguments past math.factorial's and math.comb's limits are cap errors."""
 

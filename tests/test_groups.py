@@ -124,6 +124,7 @@ class TestBurnside:
 
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (3, 3)]
+LARGE_FIELDS = [(5, 2), (7, 2), (2, 6), (3, 4)]  # q = 25, 49, 64, 81: the span test only
 ORACLE_LIMIT = 2000  # group elements the enumeration oracle may visit
 ELEMENT_LIMIT = 20000  # the element oracle's limit: SL(2, F_27) has 19 656 elements
 
@@ -215,7 +216,7 @@ def _span_oracle_groups(p, e):
 class TestSpanOracle:
     """The byte-packed span test against enumeration of the group."""
 
-    @pytest.mark.parametrize("p,e", ORACLE_FIELDS)
+    @pytest.mark.parametrize("p,e", ORACLE_FIELDS + LARGE_FIELDS)
     def test_dimensions_one_to_four(self, p, e):
         outcomes = set()
         for gens, span in _span_oracle_groups(p, e):
@@ -242,6 +243,23 @@ class TestSpanOracle:
             assert burnside_irreducible(gens) == BurnsideResult(span == r * r, span)
             spans.append(span)
         assert 16 in spans and any(6 <= s < 16 for s in spans), spans
+
+    @pytest.mark.parametrize("p", [79, 73])
+    def test_large_characteristic_wide_matrices(self, p):
+        # Sym^a of SL(2, F_p) is absolutely irreducible for a < p, so a
+        # block sum of Sym^a and Sym^b (a != b) spans (a+1)^2 + (b+1)^2;
+        # conjugated, the rows are dense and a product of r >= 6 terms is
+        # reduced mod p twice or more on the way
+        field = make_field(p, 1)
+        rng = random.Random(f"span/wide/{p}")
+        sl2p = [FqMatrix.from_ints(field, m) for m in ([[1, 1], [0, 1]], [[1, 0], [1, 1]])]
+        for a, b in [(5, None), (6, None), (2, 3), (4, 1)]:
+            gens = [sym_matrix(g, a) if b is None else
+                    _block_diagonal(sym_matrix(g, a), sym_matrix(g, b)) for g in sl2p]
+            r = gens[0].n
+            span = (a + 1) ** 2 + (0 if b is None else (b + 1) ** 2)
+            result = burnside_irreducible(_conjugated(rng, gens))
+            assert result == BurnsideResult(span == r * r, span)
 
     @pytest.mark.parametrize("functor,n,r", [
         ("sym", 2, 2), ("sym", 2, 3), ("sym", 3, 2), ("wedge", 2, 3), ("wedge", 2, 4),
@@ -274,6 +292,19 @@ class TestSpanOracle:
                 FqMatrix.from_ints(field, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])]
         images = [sym_matrix(g, n) for g in gens]
         assert burnside_irreducible(images) == BurnsideResult(False, span)
+
+    @pytest.mark.parametrize("n,p,span", [(7, 7, 52), (9, 5, 52), (11, 5, 40), (13, 3, 12),
+                                          (15, 3, 12)])
+    def test_sym_of_sl2_generators(self, n, p, span):
+        # n = 15 is a 16 x 16 image, the largest under the span cap
+        images = [sym_matrix(g, n) for g in sl2_elementary_generators(make_field(p, 1))]
+        assert burnside_irreducible(images) == BurnsideResult(False, span)
+
+    def test_span_cap_boundary(self):
+        field = make_field(3, 1)
+        assert burnside_irreducible([FqMatrix.identity(field, 16)]) == BurnsideResult(False, 1)
+        with pytest.raises(CapExceededError, match="span dimension 289 exceeds the cap 256"):
+            burnside_irreducible([FqMatrix.identity(field, 17)])
 
 
 class TestFreeGroupReps:
