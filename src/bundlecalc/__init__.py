@@ -5,128 +5,55 @@ projective plane, and a finite-group sandbox for holonomy and irreducibility.
 Every quantity is an exact rational or big integer; no floating point
 crosses any public interface.  All values are immutable and every function
 is deterministic and safe to call concurrently.
+
+Public names load their module on first use (PEP 562), so that a process
+compiles only the modules it needs: Chern numerology never loads the
+finite-group stack.
 """
 
-from .bounds import (
-    AmbientSpace,
-    JordanMode,
-    RestrictionReport,
-    ell_bound,
-    jordan_constant,
-    langer_index,
-    restriction_report,
-    schur_surd_multiple,
-)
-from .chern import (
-    ChernData,
-    TruncatedCh,
-    direct_sum,
-    discriminant,
-    dual,
-    from_truncated,
-    secondary_slope,
-    slope,
-    sym_power,
-    sym_rank,
-    tensor,
-    truncated_ch,
-    wedge_power,
-)
-from .errors import (
-    BundleCalcError,
-    CapExceededError,
-    DomainError,
-    MissingConstantError,
-    PrecisionError,
-)
-from .fields import FqField, make_field
-from .groups import (
-    BurnsideResult,
-    FqMatrixGroup,
-    FreeGroupRep,
-    HolonomyResult,
-    associated_rep,
-    burnside_irreducible,
-    group_from_generators,
-    holonomy,
-    sl2_generate,
-)
-from .grouptables import JordanCertificate, jordan_verify, table_from_matrix_group
-from .hn import (
-    CoverData,
-    EtaleVerdict,
-    HNProfile,
-    RamificationVerdict,
-    etale_criterion,
-    frobenius_degree_scale,
-    genuinely_ramified_criterion,
-    mu_max,
-    pushforward_bound_check,
-    total_slope,
-    validate_profile,
-)
-from .matrices import FqMatrix
-from .serre import PlaneLineBundle, SerrePlan, alpha_of_curve, check_assumptions, h0_plane, plan
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientSpace",
-    "BundleCalcError",
-    "BurnsideResult",
-    "CapExceededError",
-    "ChernData",
-    "CoverData",
-    "DomainError",
-    "EtaleVerdict",
-    "FqField",
-    "FqMatrix",
-    "FqMatrixGroup",
-    "FreeGroupRep",
-    "HNProfile",
-    "HolonomyResult",
-    "JordanCertificate",
-    "JordanMode",
-    "MissingConstantError",
-    "PlaneLineBundle",
-    "PrecisionError",
-    "RamificationVerdict",
-    "RestrictionReport",
-    "SerrePlan",
-    "TruncatedCh",
-    "alpha_of_curve",
-    "associated_rep",
-    "burnside_irreducible",
-    "check_assumptions",
-    "direct_sum",
-    "discriminant",
-    "dual",
-    "ell_bound",
-    "etale_criterion",
-    "frobenius_degree_scale",
-    "from_truncated",
-    "genuinely_ramified_criterion",
-    "group_from_generators",
-    "h0_plane",
-    "holonomy",
-    "jordan_constant",
-    "jordan_verify",
-    "langer_index",
-    "make_field",
-    "mu_max",
-    "plan",
-    "pushforward_bound_check",
-    "restriction_report",
-    "schur_surd_multiple",
-    "secondary_slope",
-    "sl2_generate",
-    "slope",
-    "sym_power",
-    "sym_rank",
-    "table_from_matrix_group",
-    "tensor",
-    "total_slope",
-    "truncated_ch",
-    "validate_profile",
-    "wedge_power",
-]
+_EXPORTS = {
+    "bounds": (
+        "AmbientSpace", "JordanMode", "RestrictionReport", "ell_bound", "jordan_constant",
+        "langer_index", "restriction_report", "schur_surd_multiple",
+    ),
+    "chern": (
+        "ChernData", "TruncatedCh", "direct_sum", "discriminant", "dual", "from_truncated",
+        "secondary_slope", "slope", "sym_power", "sym_rank", "tensor", "truncated_ch",
+        "wedge_power",
+    ),
+    "errors": (
+        "BundleCalcError", "CapExceededError", "DomainError", "MissingConstantError",
+        "PrecisionError",
+    ),
+    "fields": ("FqField", "make_field"),
+    "groups": (
+        "BurnsideResult", "FqMatrixGroup", "FreeGroupRep", "HolonomyResult", "associated_rep",
+        "burnside_irreducible", "group_from_generators", "holonomy", "sl2_generate",
+    ),
+    "grouptables": ("JordanCertificate", "jordan_verify", "table_from_matrix_group"),
+    "hn": (
+        "CoverData", "EtaleVerdict", "HNProfile", "RamificationVerdict", "etale_criterion",
+        "frobenius_degree_scale", "genuinely_ramified_criterion", "mu_max",
+        "pushforward_bound_check", "total_slope", "validate_profile",
+    ),
+    "matrices": ("FqMatrix",),
+    "serre": ("PlaneLineBundle", "SerrePlan", "alpha_of_curve", "check_assumptions", "h0_plane",
+              "plan"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+

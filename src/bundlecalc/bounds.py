@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .chern import ChernData, discriminant, sym_rank
-from .encoding import format_integer
+from .encoding import echo_integer, format_integer, output_limit_error
 from .errors import CapExceededError, DomainError, MissingConstantError, PrecisionError
 
 _WEISFEILER_PREC_CAP = 1 << 14
@@ -51,7 +51,8 @@ class AmbientSpace:
         for r, b in dict(self.beta).items():
             b = Fraction(b)
             if b < 0:
-                raise DomainError(f"beta_{r} must be nonnegative", code="bad_ambient")
+                raise DomainError(f"beta_{echo_integer(r)} must be nonnegative",
+                                  code="bad_ambient")
             clean[int(r)] = b
         object.__setattr__(self, "beta", clean)
 
@@ -61,7 +62,7 @@ class AmbientSpace:
         if self.assume_beta_zero:
             return Fraction(0)
         raise MissingConstantError(
-            f"beta_{rank} is not configured; supply it or enable assume-beta-zero"
+            f"beta_{echo_integer(rank)} is not configured; supply it or enable assume-beta-zero"
         )
 
 
@@ -144,6 +145,29 @@ def schur_surd_multiple(r: int) -> int:
     return 2 * total
 
 
+def _check_schur_digits(r: int) -> None:
+    """Raise the output-limit error when J(r) certainly has more decimal
+    digits than Python's int-to-str limit lets it print, before the sum.
+
+    With x = sqrt(8r) and N = 2r^2, J(r) is the ceiling of
+    (x + 1)^N - (x - 1)^N, which lies between (x - 1)^(N - 1) and (x + 1)^N.
+    Bit lengths of those bounds decide small and large r; in between, x is
+    bracketed to three decimals, s / 1000 <= x < (s + 1) / 1000, which
+    decides r = 41 (4308 digits) against the default limit of 4300.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7 has none
+    if not limit:
+        return
+    n, root = 2 * r * r, math.isqrt(8 * r)
+    if n * (root + 2).bit_length() <= 3 * limit:  # J(r) < 2^(3 limit) < 10^limit
+        return
+    if (n - 1) * ((root - 1).bit_length() - 1) < 4 * limit:  # else J(r) >= 16^limit
+        s = math.isqrt(8 * r * 10 ** 6)
+        if (pow(s + 1000, n) - pow(s - 999, n)) // 1000 ** n < 10 ** limit:
+            return
+    raise output_limit_error()
+
+
 def _ceil_sqrt_multiple(b: int, radicand: int) -> int:
     """ceil(b * sqrt(radicand)) for nonnegative integers, by exact squaring."""
     target = radicand * b * b
@@ -153,12 +177,14 @@ def _ceil_sqrt_multiple(b: int, radicand: int) -> int:
 
 def jordan_constant(r: int, mode: JordanMode) -> int:
     """J(r): every finite subgroup of GL_r has an abelian normal subgroup of
-    index at most J(r)."""
+    index at most J(r).  A Schur J(r) past the int-to-str digit limit raises
+    CapExceededError before it is computed."""
     if r < 1:
         raise DomainError("rank must be positive", code="bad_rank")
     if mode.kind == "explicit":
         return mode.value
     if mode.kind == "schur":
+        _check_schur_digits(r)
         b = schur_surd_multiple(r)
         return _ceil_sqrt_multiple(b, 8 * r)
     return _weisfeiler_ceiling(r, mode.a, mode.b)
@@ -213,6 +239,18 @@ def _weisfeiler_ceiling(r: int, a: Fraction, b: Fraction) -> int:
     )
 
 
+def check_ell_arguments(r: int, c: Fraction, variant: str) -> Fraction:
+    """The checks of ``ell_bound`` that need no J(r); returns c as a Fraction."""
+    if variant not in ("as_printed", "normalized"):
+        raise DomainError(f"unknown variant {variant!r}", code="bad_variant")
+    if r < 1:
+        raise DomainError("rank must be positive", code="bad_rank")
+    c = Fraction(c)
+    if c < 0:
+        raise DomainError("c must be nonnegative", code="bad_c2_bound")
+    return c
+
+
 def ell_bound(
     r: int,
     c: Fraction,
@@ -228,13 +266,7 @@ def ell_bound(
     (t-1)/t, matching the shape of the rank-level restriction index.  Both
     are exposed on purpose; neither is silently corrected.
     """
-    if variant not in ("as_printed", "normalized"):
-        raise DomainError(f"unknown variant {variant!r}", code="bad_variant")
-    if r < 1:
-        raise DomainError("rank must be positive", code="bad_rank")
-    c = Fraction(c)
-    if c < 0:
-        raise DomainError("c must be nonnegative", code="bad_c2_bound")
+    c = check_ell_arguments(r, c, variant)
     j = jordan_constant(r, mode)
     t = sym_rank(r, j)
     if t <= 1:

@@ -14,11 +14,11 @@ import argparse
 import json
 import sys
 
-from . import bounds, chern, config as config_mod, grouptables, groups, hn, serre
+# config loads bounds and chern for every command; each command imports the
+# other modules it uses, so that no process compiles the modules it never calls
+from . import bounds, chern, config as config_mod
 from .encoding import dumps, format_integer, format_rational, parse_integer, parse_rational
 from .errors import BundleCalcError, CapExceededError, DomainError, PrecisionError
-from .fields import make_field
-from .matrices import FqMatrix
 
 USAGE_EXIT = 64
 
@@ -117,6 +117,8 @@ def _add_field_flags(p: Parser) -> None:
 
 
 def _field_from(args):
+    from .fields import make_field
+
     modulus = None
     if args.modulus is not None:
         try:
@@ -127,7 +129,9 @@ def _field_from(args):
     return make_field(parse_integer(args.p), parse_integer(args.e), modulus)
 
 
-def _matrices_from_arg(field, raw: str, what: str) -> list[FqMatrix]:
+def _matrices_from_arg(field, raw: str, what: str) -> list:
+    from .matrices import FqMatrix
+
     data = _json_arg(raw, what)
     if not isinstance(data, list) or not data:
         raise DomainError(f"{what} must be a nonempty JSON list", code="bad_matrix")
@@ -177,11 +181,12 @@ def _cmd_bounds(args, cfg) -> dict:
     if op == "ell":
         mode = _mode_from(args, cfg)
         r = parse_integer(args.r)
+        # the checks that need no J(r) come first: J(r) can take seconds
+        c = bounds.check_ell_arguments(r, parse_rational(args.c), args.variant)
         j = bounds.jordan_constant(r, mode)
         t = chern.sym_rank(r, j)
         amb = _ambient_from(args, cfg, beta_rank=t)
-        value = bounds.ell_bound(r, parse_rational(args.c), amb,
-                                 bounds.JordanMode.explicit(j), args.variant)
+        value = bounds.ell_bound(r, c, amb, bounds.JordanMode.explicit(j), args.variant)
         return {
             "ell": format_integer(value),
             "t": format_integer(t),
@@ -197,6 +202,8 @@ def _cmd_bounds(args, cfg) -> dict:
 
 
 def _cmd_hn(args, cfg) -> dict:
+    from . import hn
+
     op = args.op
     if op == "frobscale":
         scaled = hn.frobenius_degree_scale(
@@ -222,6 +229,8 @@ def _cmd_hn(args, cfg) -> dict:
 
 
 def _cmd_serre(args, cfg) -> dict:
+    from . import serre
+
     op = args.op
     if op == "plan":
         p = serre.plan(serre.PlaneLineBundle(parse_integer(args.m_degree)),
@@ -256,6 +265,8 @@ def _cmd_serre(args, cfg) -> dict:
 
 
 def _cmd_hol(args, cfg) -> dict:
+    from . import grouptables, groups
+
     op = args.op
     field = _field_from(args)
     if field.q > cfg.caps.q_max:

@@ -9,11 +9,9 @@ import os
 from dataclasses import dataclass, field
 
 from .bounds import AmbientSpace, JordanMode
+from .caps import CLOSURE_CAP, JORDAN_ORDER_CAP, Q_CAP
 from .encoding import parse_integer, parse_rational
 from .errors import DomainError
-from .fields import Q_CAP
-from .groups import CLOSURE_CAP
-from .grouptables import JORDAN_ORDER_CAP
 
 ENV_VAR = "BUNDLECALC_CONFIG"
 

@@ -24,6 +24,19 @@ def _echo(value: str) -> str:
     return f"{value[:_ECHO_CHARS]!r}... ({len(value)} characters)"
 
 
+def echo_integer(value: int) -> str:
+    """value in decimal, or its first _ECHO_CHARS digits and its digit count,
+    found without str() so that a value past the int-to-str limit can be named."""
+    size = abs(value)
+    if size < 10 ** _ECHO_CHARS:
+        return str(value)
+    digits = (size.bit_length() - 1) * 30102 // 100000  # 0.30102 < log10(2)
+    while 10 ** digits <= size:
+        digits += 1
+    head = size // 10 ** (digits - _ECHO_CHARS)
+    return f"{'-' if value < 0 else ''}{head}... ({digits} digits)"
+
+
 def parse_rational(value) -> Fraction:
     """Parse an int or a "p/q" / "p" string into an exact Fraction."""
     if isinstance(value, bool):
@@ -71,10 +84,13 @@ def _decimal(value: Fraction | int) -> str:
     try:
         return str(value)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise CapExceededError(
-            f"number has more than {limit} decimal digits, the output limit"
-        ) from None
+        raise output_limit_error() from None
+
+
+def output_limit_error() -> CapExceededError:
+    """The error for a number past Python's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    return CapExceededError(f"number has more than {limit} decimal digits, the output limit")
 
 
 def dumps(payload) -> str:

@@ -20,10 +20,9 @@ import itertools
 import operator
 from typing import Optional, Sequence
 
+from .caps import Q_CAP
 from .errors import CapExceededError, DomainError
 from .primes import is_prime
-
-Q_CAP = 81
 
 
 def _poly_trim(a: list[int]) -> list[int]:

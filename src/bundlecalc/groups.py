@@ -63,12 +63,12 @@ from itertools import repeat
 from math import comb, prod
 from typing import Optional, Sequence
 
+from .caps import CLOSURE_CAP
 from .encoding import format_integer
 from .errors import CapExceededError, DomainError
 from .fields import FqField
 from .matrices import FqMatrix, dual_matrix, flatten, kronecker, sym_matrix, wedge_matrix
 
-CLOSURE_CAP = 10 ** 6
 SPAN_DIM_CAP = 256
 
 

@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .caps import JORDAN_ORDER_CAP
 from .encoding import format_integer
 from .errors import CapExceededError, DomainError
 from .groups import FqMatrixGroup
 from .matrices import FqMatrix
-
-JORDAN_ORDER_CAP = 360
 
 
 @dataclass(frozen=True)

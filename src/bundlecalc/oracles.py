@@ -29,12 +29,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .chern import ChernData
 from .errors import CapExceededError, DomainError
-from .fields import FqField, make_field
-from .matrices import FqMatrix
+
+if TYPE_CHECKING:  # the finite-group oracles import these when they run
+    from .fields import FqField
+    from .matrices import FqMatrix
 
 # -- truncated polynomials in formal Chern roots -------------------------
 
@@ -213,14 +215,23 @@ def surd_power_difference(r: int) -> tuple[int, int]:
 # -- SL(2, F_q) by exhaustive filter --------------------------------------
 
 def sl2_by_filter(field: FqField) -> tuple[FqMatrix, ...]:
-    """All 2x2 matrices of determinant 1 over the field, sorted."""
-    one = field.one
+    """All 2x2 matrices of determinant 1 over the field, sorted: every one of
+    the q^4 quadruples (a, b, c, d) is tested for ad = 1 + bc, read from the
+    field tables.  The quadruples run in lexicographic order, which is the
+    sort order of FqMatrix."""
+    from .matrices import FqMatrix
+
+    mul, add, one, elements = field.mul_table, field.add_table, field.one, field.elements()
+    make = FqMatrix._make
     out = []
-    for a, b, c, d in itertools.product(field.elements(), repeat=4):
-        det = field.sub(field.mul(a, d), field.mul(b, c))
-        if det == one:
-            out.append(FqMatrix(field, ((a, b), (c, d))))
-    return tuple(sorted(out))
+    for a in elements:
+        row_a = mul[a]
+        for b in elements:
+            row_b = mul[b]
+            for c in elements:
+                target = add[one][row_b[c]]
+                out.extend(make(field, ((a, b), (c, d))) for d in elements if row_a[d] == target)
+    return tuple(out)
 
 
 # -- common-eigenvector reducibility oracle (dimension 2) -----------------
@@ -241,8 +252,8 @@ def _embedding_root(field: FqField, ext: FqField) -> int:
 
 def _closure_2x2(field: FqField, gens: Sequence[FqMatrix]) -> set:
     """Elements of the group generated by 2x2 matrices, as entry tuples
-    (a, b, c, d), by breadth-first search with the field's add and mul."""
-    add, mul = field.add, field.mul
+    (a, b, c, d), by breadth-first search with the field's tables."""
+    add, mul = field.add_table, field.mul_table
     gs = [tuple(x for row in g.rows for x in row) for g in gens]
     start = (field.one, field.zero, field.zero, field.one)
     seen = {start}
@@ -250,9 +261,10 @@ def _closure_2x2(field: FqField, gens: Sequence[FqMatrix]) -> set:
     while frontier:
         new = []
         for a, b, c, d in frontier:
+            ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
             for e, f, g, h in gs:
-                prod = (add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
-                        add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)))
+                prod = (add[ma[e]][mb[g]], add[ma[f]][mb[h]],
+                        add[mc[e]][md[g]], add[mc[f]][md[h]])
                 if prod not in seen:
                     seen.add(prod)
                     new.append(prod)
@@ -268,6 +280,8 @@ def reducible_by_common_eigenvector(gens: Sequence[FqMatrix]) -> bool:
     already defined over F_(q^2), so scanning the projective line of the
     extension decides absolute reducibility.
     """
+    from .fields import make_field
+
     field = gens[0].field
     if any(g.n != 2 for g in gens):
         raise DomainError("eigenvector oracle is 2-dimensional only", code="bad_matrix")
@@ -275,25 +289,23 @@ def reducible_by_common_eigenvector(gens: Sequence[FqMatrix]) -> bool:
     ext = make_field(field.p, 2 * field.e)
     root = _embedding_root(field, ext)
 
+    add, mul = ext.add_table, ext.mul_table
+
     def embed(i: int) -> int:
         acc = ext.zero
         power = ext.one
         for c in field.coeffs(i):
-            acc = ext.add(acc, ext.mul(ext.from_int(c), power))
-            power = ext.mul(power, root)
+            acc = add[acc][mul[ext.from_int(c)][power]]
+            power = mul[power][root]
         return acc
 
-    mats = [((embed(a), embed(b)), (embed(c), embed(d))) for a, b, c, d in elements]
+    image = [embed(i) for i in field.elements()]
+    mats = [(image[a], image[b], image[c], image[d]) for a, b, c, d in elements]
     lines = [(ext.one, t) for t in ext.elements()] + [(ext.zero, ext.one)]
-    for v in lines:
-        ok = True
-        for m in mats:
-            w0 = ext.add(ext.mul(m[0][0], v[0]), ext.mul(m[0][1], v[1]))
-            w1 = ext.add(ext.mul(m[1][0], v[0]), ext.mul(m[1][1], v[1]))
-            if ext.sub(ext.mul(w0, v[1]), ext.mul(w1, v[0])) != ext.zero:
-                ok = False
-                break
-        if ok:
+    for x, y in lines:
+        mx, my = mul[x], mul[y]
+        # (w0, w1) = m (x, y) lies on the line iff w0 y = w1 x
+        if all(my[add[mx[a]][my[b]]] == mx[add[mx[c]][my[d]]] for a, b, c, d in mats):
             return True
     return False
 

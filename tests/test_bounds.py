@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from bundlecalc import (
     AmbientSpace,
+    CapExceededError,
     ChernData,
     DomainError,
     JordanMode,
@@ -21,6 +23,7 @@ from bundlecalc import (
     sym_rank,
     tensor,
 )
+from bundlecalc import bounds
 from bundlecalc.oracles import surd_power_difference
 
 
@@ -113,6 +116,41 @@ class TestJordanConstant:
             JordanMode("weisfeiler")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+class TestSchurDigitCheck:
+    """J(41) has 4308 digits, past the default 4300-digit int-to-str limit:
+    it is refused before the binomial sum runs."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+        surd = bounds.schur_surd_multiple
+        monkeypatch.setattr(bounds, "schur_surd_multiple", lambda r: calls.append(r) or surd(r))
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            yield calls
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("r", [41, 46, 47, 81, 10 ** 60])
+    def test_refused_before_the_sum(self, spy, r):
+        with pytest.raises(CapExceededError,
+                           match="^number has more than 4300 decimal digits, the output limit$"):
+            jordan_constant(r, JordanMode.schur())
+        assert spy == []
+
+    def test_the_largest_that_fits_is_computed(self, spy):
+        assert len(str(jordan_constant(40, JordanMode.schur()))) == 4084
+        assert spy == [40]
+
+    def test_no_limit_no_check(self, spy):
+        sys.set_int_max_str_digits(0)
+        assert len(str(jordan_constant(41, JordanMode.schur()))) == 4308
+        assert spy == [41]
+
+
 class TestEllBound:
     def test_schur_headline_value(self):
         amb = surface(assume=True)
@@ -201,3 +239,15 @@ class TestAmbientSpace:
             AmbientSpace(2, 0)
         with pytest.raises(DomainError):
             AmbientSpace(2, 1, {2: F(-1)})
+
+    def test_a_huge_rank_is_named_by_its_leading_digits(self):
+        rank = 10 ** 5000 + 1
+        with pytest.raises(MissingConstantError) as err:
+            surface().beta_for(rank)
+        assert str(err.value) == ("beta_1" + "0" * 39 + "... (5001 digits) is not configured; "
+                                  "supply it or enable assume-beta-zero")
+        with pytest.raises(DomainError) as err:
+            AmbientSpace(2, 1, {rank: F(-1)})
+        assert str(err.value) == "beta_1" + "0" * 39 + "... (5001 digits) must be nonnegative"
+        with pytest.raises(MissingConstantError, match="^beta_3 is not configured"):
+            surface().beta_for(3)

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +102,34 @@ class TestBoundsCommands:
         assert len(out) == 5417 and hashlib.sha256(out.encode()).hexdigest() == (
             "8f59933dbdee10d3049e9c97b56340342560da7ec7222fa0119e28973aa1114f")
 
+    @pytest.mark.parametrize("r,digits", [("13", 4247), ("14", 5412)])
+    def test_a_huge_missing_beta_rank_is_cut(self, capsys, r, digits):
+        # t = C(J(r) + r - 1, r - 1); at r = 14 it is past the int-to-str limit
+        code, out, err = run(capsys, "bounds", "ell", "--r", r, "--mode", "schur", "--c", "1")
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 200
+        message = json.loads(err)["message"]
+        assert message.startswith("beta_") and message.endswith(
+            f"... ({digits} digits) is not configured; supply it or enable assume-beta-zero")
+
+    def test_a_small_missing_beta_rank_is_shown_whole(self, capsys):
+        code, out, err = run(capsys, "bounds", "ell", "--r", "2", "--mode", "explicit",
+                             "--value", "2", "--c", "1")
+        assert (code, out) == (2, "")
+        assert err == ('{"error": "missing_beta", "message": '
+                       '"beta_3 is not configured; supply it or enable assume-beta-zero"}\n')
+
+    @pytest.mark.parametrize("r,c,error", [("60", "-1", "bad_c2_bound"), ("0", "1", "bad_rank"),
+                                           ("81", "-3", "bad_c2_bound")])
+    def test_ell_checks_r_and_c_before_j(self, capsys, monkeypatch, r, c, error):
+        def no_j(*args):
+            raise AssertionError("J(r) computed before the argument checks")
+
+        monkeypatch.setattr(bounds, "jordan_constant", no_j)
+        code, out, err = run(capsys, "bounds", "ell", "--r", r, "--mode", "schur", "--c", c)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == error
+
     def test_report(self, capsys):
         code, out, _ = run(
             capsys, "bounds", "report",
@@ -125,6 +156,18 @@ class TestErrorSurfaces:
         assert code == 64 and json.loads(err)["error"] == "usage"
         code, _, _ = run(capsys, "frobnicate")
         assert code == 64
+
+    @pytest.mark.parametrize("argv,message", [
+        (["nosuch"], "argument group: invalid choice: 'nosuch' (choose from 'chern', 'bounds', "
+                     "'hn', 'serre', 'hol', 'selftest')"),
+        (["chern", "nosuch"], "argument op: invalid choice: 'nosuch' (choose from 'sum', "
+                              "'tensor', 'dual', 'slope', 'disc', 'mu2', 'sym', 'wedge')"),
+        (["chern", "mu2"], "the following arguments are required: --rank"),
+    ], ids=["group", "op", "flag"])
+    def test_usage_messages_are_pinned(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err == json.dumps({"error": "usage", "message": message}) + "\n"
 
     def test_bad_json_is_a_domain_error(self, capsys):
         code, _, err = run(capsys, "hn", "validate", "--profile", "[[2,")
@@ -554,6 +597,52 @@ class TestBadNumberMessages:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "bad_number",
                                    "message": f"expected an integer, got {shown}"}
+
+
+FINITE_GROUP_MODULES = {"bundlecalc.fields", "bundlecalc.groups", "bundlecalc.grouptables",
+                        "bundlecalc.matrices"}
+
+
+def loaded_modules(code: str) -> tuple[set, str]:
+    """The bundlecalc modules a fresh interpreter has loaded after running
+    the code, and the code's stdout."""
+    src = str(Path(sys.modules["bundlecalc"].__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("BUNDLECALC_CONFIG", None)
+    probe = (f"import json, sys\n{code}\n"
+             "print(json.dumps([m for m in sys.modules if m.startswith('bundlecalc')]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *out, modules = proc.stdout.splitlines()
+    return set(json.loads(modules)), "\n".join(out)
+
+
+class TestImportsFollowUse:
+    """A process loads only the modules its entry point uses; the test
+    compares module sets, not times."""
+
+    def test_a_chern_command_loads_no_finite_group_hn_or_serre_module(self):
+        loaded, out = loaded_modules(
+            "from bundlecalc import cli\ncli.main(['chern', 'mu2', '--rank', '3', '--c2', '8'])")
+        assert out == '{"mu2": "8/3"}'
+        assert not loaded & (FINITE_GROUP_MODULES | {"bundlecalc.hn", "bundlecalc.serre",
+                                                     "bundlecalc.oracles"})
+
+    @pytest.mark.parametrize("code", [
+        "import bundlecalc\nbundlecalc.ChernData",
+        "from bundlecalc import oracles\nprint(oracles.surd_power_difference(2))",
+    ], ids=["public-name", "numerology-oracle"])
+    def test_the_library_loads_no_finite_group_module_for_numerology(self, code):
+        loaded, _ = loaded_modules(code)
+        assert "bundlecalc.chern" in loaded and not loaded & FINITE_GROUP_MODULES
+
+    def test_a_hol_command_still_loads_what_it_needs(self):
+        loaded, out = loaded_modules(
+            "from bundlecalc import cli\ncli.main(['hol', 'sl2', '--p', '3'])")
+        assert out == '{"order": "24"}'
+        assert FINITE_GROUP_MODULES <= loaded
 
 
 def test_every_public_name_resolves():

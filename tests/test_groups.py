@@ -27,6 +27,9 @@ from bundlecalc.oracles import (
 )
 
 
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]  # q <= 9
+
+
 class TestSl2Generation:
     @pytest.mark.parametrize(
         "p,e,order", [(2, 1, 6), (3, 1, 24), (2, 2, 60), (5, 1, 120)]
@@ -50,6 +53,11 @@ class TestSl2Generation:
 
     def test_matches_filter_enumeration(self):
         field = make_field(2, 2)
+        assert tuple(sl2_generate(field).elements) == sl2_by_filter(field)
+
+    @pytest.mark.parametrize("p,e", SMALL_FIELDS)
+    def test_matches_filter_enumeration_up_to_q_9(self, p, e):
+        field = make_field(p, e)
         assert tuple(sl2_generate(field).elements) == sl2_by_filter(field)
 
     def test_enumeration_is_reproducible(self):
@@ -121,6 +129,16 @@ class TestBurnside:
         ]
         assert not burnside_irreducible(upper).irreducible
         assert reducible_by_common_eigenvector(upper)
+
+    @pytest.mark.parametrize("p,e", SMALL_FIELDS)
+    def test_matches_eigenvector_oracle_on_random_pairs(self, p, e):
+        field = make_field(p, e)
+        rng = random.Random(f"eigenvector/{p}/{e}")
+        for _ in range(6):
+            gens = [_random_gl(rng, field, 2) for _ in range(rng.randint(1, 2))]
+            assert reducible_by_common_eigenvector(gens) == \
+                (not burnside_irreducible(gens).irreducible)
+        assert not reducible_by_common_eigenvector(sl2_elementary_generators(field))
 
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (3, 3)]
