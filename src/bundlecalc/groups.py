@@ -12,7 +12,11 @@ Rows are packed: a row is a base-q integer of its entry indices, big-endian,
 so integer order is the canonical row order, and a matrix is a tuple (to be
 sorted, a base-q^n integer) of its rows.  Right multiplication by a matrix
 g maps each row independently, through a table from packed row to packed
-row that is filled as rows are met (``_row_action``).
+row that is filled as rows are met (``_row_action``).  For 2 x 2 g an entry
+is computed in closed form, as ``FqMatrix.__mul__`` does: one ``divmod``
+splits the row into its two entries, and (x, y) g = (ax + cy, bx + dy)
+takes four mul-table rows bound once per g; larger g run the loop over
+columns.
 
 The stabilizer chain is deterministic Schreier-Sims (Sims 1970; Seress,
 *Permutation Group Algorithms*, ch. 4) for the right action of matrices on
@@ -86,8 +90,19 @@ class _Memo(dict):
 
 def _row_action(g: FqMatrix, places: list[int]) -> _Memo:
     """Packed row v -> packed row v * g for one matrix g, computed from the
-    field tables the first time v is met."""
-    cols, q, add, mul = tuple(zip(*g.rows)), g.field.q, g.field.add_table, g.field.mul_table
+    field tables the first time v is met; in closed form for 2 x 2 g."""
+    q, add, mul = g.field.q, g.field.add_table, g.field.mul_table
+    if g.n == 2:
+        (a, b), (c, d) = g.rows
+        ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
+
+        def times2(row: int) -> int:
+            x, y = divmod(row, q)  # (x, y) g = (ax + cy, bx + dy)
+            return add[ma[x]][mc[y]] * q + add[mb[x]][md[y]]
+
+        return _Memo(times2)
+
+    cols = tuple(zip(*g.rows))
 
     def times(row: int) -> int:
         v = [row // p % q for p in places]
@@ -537,6 +552,17 @@ class FreeGroupRep:
         images = tuple(images)
         return FreeGroupRep(images[0].field, images[0].n, images)
 
+    @classmethod
+    def _make(cls, images: tuple[FqMatrix, ...]) -> "FreeGroupRep":
+        """Trusted constructor, unchecked: the images must be nonempty,
+        share a field and dimension, and be invertible, as a functor's
+        images of a representation's are by construction."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "field", images[0].field)
+        object.__setattr__(rep, "dim", images[0].n)
+        object.__setattr__(rep, "images", images)
+        return rep
+
 
 @dataclass(frozen=True)
 class HolonomyResult:
@@ -570,7 +596,9 @@ def associated_rep(rep: FreeGroupRep, functor: str, n: int = 0,
     the power n and tensor_with takes the second representation (of the same
     free group, matched generator by generator).  The output dimension is
     checked against the span cap before any image is built; a bad power or
-    an unknown functor is rejected by ``apply_matrix_functor``.
+    an unknown functor is rejected by ``apply_matrix_functor``.  The images
+    are invertible by construction (each functor maps GL to GL), so they
+    are not checked again.
     """
     r = rep.dim
     others = [None] * rep.free_rank
@@ -589,8 +617,8 @@ def associated_rep(rep: FreeGroupRep, functor: str, n: int = 0,
         _check_span_cap(comb(n + r - 1, r - 1))
     elif functor == "wedge" and n >= 0:
         _check_span_cap(comb(r, n))
-    return FreeGroupRep.of([apply_matrix_functor(m, functor, n, o)
-                            for m, o in zip(rep.images, others)])
+    return FreeGroupRep._make(tuple(apply_matrix_functor(m, functor, n, o)
+                                    for m, o in zip(rep.images, others)))
 
 
 def _check_span_cap(new_dim: int) -> None:

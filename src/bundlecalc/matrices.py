@@ -213,73 +213,76 @@ def dual_matrix(a: FqMatrix) -> FqMatrix:
     return a.inverse().transpose()
 
 
-def _monomials(r: int, n: int):
-    """Exponent vectors of total degree n in r >= 1 variables, lexicographic."""
-    if r == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _monomials(r - 1, n - first):
-            yield (first, *rest)
-
-
 def sym_matrix(a: FqMatrix, n: int) -> FqMatrix:
     """Matrix of Sym^n(a) on the degree-n monomial basis.
 
     Column alpha is the expansion of prod_j (a . x_j)^(alpha_j) as a
     polynomial; this makes Sym multiplicative: Sym(ab) = Sym(a) Sym(b).
-    The powers of the column polynomials are taken by repeated squaring, so
-    the cost grows with log n, not n, once the basis is fixed.
+
+    A monomial is the integer whose base-(n + 1) digits are its exponents,
+    so integer order is the lexicographic basis order and a product of
+    monomials is a sum of codes.  The powers of each column's linear form
+    L_j are built one from the last, L_j^k = L_j^(k-1) L_j, and the columns
+    come in basis order, each the product of its r powers, so a prefix
+    product of the first powers is made once for all the columns that
+    share it.  A 1 x 1 matrix has the one column a^n, taken by repeated
+    squaring, so its cost grows with log n.
     """
     if n < 0:
         raise DomainError("power must be nonnegative", code="bad_power")
     f = a.field
     r = a.n
     add, mul = f.add_table, f.mul_table
-    basis = list(_monomials(r, n))
-    pos = {m: i for i, m in enumerate(basis)}
-    one = {(0,) * r: f.one}
+    if r == 1:
+        x, out = a.rows[0][0], f.one
+        while n:
+            if n & 1:
+                out = mul[out][x]
+            n >>= 1
+            x = mul[x][x]
+        return FqMatrix._make(f, ((out,),))
 
-    def poly_mul(p1, p2):
+    def times(p1: dict, p2: dict) -> dict:
         out = {}
+        get = out.get
         for e1, c1 in p1.items():
-            times = mul[c1]
+            t = mul[c1]
             for e2, c2 in p2.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                c = add[out.get(e, 0)][times[c2]]
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
+                e = e1 + e2
+                out[e] = add[get(e, 0)][t[c2]]
         return out
 
-    def poly_pow(p, k):
-        out = one
-        while k:
-            if k & 1:
-                out = poly_mul(out, p)
-            k >>= 1
-            if k:
-                p = poly_mul(p, p)
-        return out
+    def nonzero(p: dict) -> dict:
+        return {e: c for e, c in p.items() if c}
 
-    # column j of a as the linear polynomial sum_i a[i][j] x_i, and its powers
-    col_polys = [{tuple(int(k == i) for k in range(r)): a.rows[i][j]
-                  for i in range(r) if a.rows[i][j]} for j in range(r)]
-    powers = [{} for _ in range(r)]
+    units = [(n + 1) ** (r - 1 - i) for i in range(r)]  # the code of x_i
+    powers = []  # powers[j][k] = L_j^k, column j of a as the form sum_i a[i][j] x_i
+    for j in range(r):
+        form = {u: row[j] for u, row in zip(units, a.rows) if row[j]}
+        column = [{0: f.one}]
+        for _ in range(n):
+            column.append(nonzero(times(column[-1], form)))
+        powers.append(column)
+
     cols = []
-    for alpha in basis:
-        poly = one
-        for j, k in enumerate(alpha):
-            if k:
-                if k not in powers[j]:
-                    powers[j][k] = poly_pow(col_polys[j], k)
-                poly = poly_mul(poly, powers[j][k])
-        col = [f.zero] * len(basis)
-        for e, c in poly.items():
-            col[pos[e]] = c
-        cols.append(col)
-    return FqMatrix._make(f, tuple(zip(*cols)))
+    basis = []
+
+    def expand(j: int, left: int, code: int, prefix: dict | None) -> None:
+        """The columns whose first j exponents are fixed: prefix is the
+        product of their powers (None before the first), code their
+        monomial and left the degree still to place."""
+        if j == r - 1:
+            basis.append(code + left)
+            cols.append(times(prefix, powers[j][left]))
+            return
+        for k in range(left + 1):
+            power = powers[j][k]
+            expand(j + 1, left - k, code + k * units[j],
+                   power if prefix is None else nonzero(times(prefix, power)))
+
+    expand(0, n, 0, None)
+    dense = [tuple(map(col.get, basis, itertools.repeat(0))) for col in cols]
+    return FqMatrix._make(f, tuple(zip(*dense)))
 
 
 def wedge_matrix(a: FqMatrix, n: int) -> FqMatrix:

@@ -7,6 +7,9 @@ from the main implementation, for cross-checking:
     truncated polynomial ring (against the closed-form characters);
   * the surd expansion (sqrt(8r)+1)^N - (sqrt(8r)-1)^N by iterated
     multiplication in Z[sqrt(8r)] (against the binomial-sum expansion);
+  * the matrix of Sym^n by expanding each column as a polynomial with
+    exponent-tuple keys and powers by repeated squaring (against the
+    integer-coded incremental powers of ``sym_matrix``);
   * SL(2, F_q) by filtering all q^4 matrices for determinant 1 (against the
     elements of the stabilizer chain of its generators);
   * the elements of a matrix group by a breadth-first search over flattened
@@ -234,6 +237,68 @@ def sl2_by_filter(field: FqField) -> tuple[FqMatrix, ...]:
     return tuple(out)
 
 
+# -- Sym^n by tuple-keyed polynomial expansion ----------------------------
+
+def _monomials(r: int, n: int):
+    """Exponent vectors of total degree n in r >= 1 variables, lexicographic."""
+    if r == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _monomials(r - 1, n - first):
+            yield (first, *rest)
+
+
+def sym_by_expansion(a: FqMatrix, n: int) -> FqMatrix:
+    """Matrix of Sym^n(a) on the lexicographic degree-n monomial basis, by
+    expanding each column prod_j (a . x_j)^(alpha_j) with exponent tuples as
+    keys, every power taken by repeated squaring from the linear form
+    (against the integer-coded incremental powers of ``sym_matrix``)."""
+    from .matrices import FqMatrix
+
+    f = a.field
+    r = a.n
+    add, mul = f.add_table, f.mul_table
+    basis = list(_monomials(r, n))
+    pos = {m: i for i, m in enumerate(basis)}
+    one = {(0,) * r: f.one}
+
+    def poly_mul(p1, p2):
+        out = {}
+        for e1, c1 in p1.items():
+            for e2, c2 in p2.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                c = add[out.get(e, 0)][mul[c1][c2]]
+                if c:
+                    out[e] = c
+                elif e in out:
+                    del out[e]
+        return out
+
+    def poly_pow(p, k):
+        out = one
+        while k:
+            if k & 1:
+                out = poly_mul(out, p)
+            k >>= 1
+            if k:
+                p = poly_mul(p, p)
+        return out
+
+    col_polys = [{tuple(int(k == i) for k in range(r)): a.rows[i][j]
+                  for i in range(r) if a.rows[i][j]} for j in range(r)]
+    cols = []
+    for alpha in basis:
+        poly = one
+        for j, k in enumerate(alpha):
+            poly = poly_mul(poly, poly_pow(col_polys[j], k))
+        col = [f.zero] * len(basis)
+        for e, c in poly.items():
+            col[pos[e]] = c
+        cols.append(col)
+    return FqMatrix(f, [list(row) for row in zip(*cols)])
+
+
 # -- common-eigenvector reducibility oracle (dimension 2) -----------------
 
 def _embedding_root(field: FqField, ext: FqField) -> int:
@@ -272,23 +337,14 @@ def _closure_2x2(field: FqField, gens: Sequence[FqMatrix]) -> set:
     return seen
 
 
-def reducible_by_common_eigenvector(gens: Sequence[FqMatrix]) -> bool:
-    """True iff all elements of the generated 2-dimensional group share an
-    eigenvector over the quadratic extension.
-
-    For 2x2 matrices every invariant line over the algebraic closure is
-    already defined over F_(q^2), so scanning the projective line of the
-    extension decides absolute reducibility.
-    """
+@lru_cache(maxsize=16)
+def _quadratic_extension(field: FqField) -> tuple[FqField, tuple[int, ...]]:
+    """F_(q^2) and the images of field's elements in it, built once per
+    base field."""
     from .fields import make_field
 
-    field = gens[0].field
-    if any(g.n != 2 for g in gens):
-        raise DomainError("eigenvector oracle is 2-dimensional only", code="bad_matrix")
-    elements = _closure_2x2(field, gens)
     ext = make_field(field.p, 2 * field.e)
     root = _embedding_root(field, ext)
-
     add, mul = ext.add_table, ext.mul_table
 
     def embed(i: int) -> int:
@@ -299,7 +355,23 @@ def reducible_by_common_eigenvector(gens: Sequence[FqMatrix]) -> bool:
             power = mul[power][root]
         return acc
 
-    image = [embed(i) for i in field.elements()]
+    return ext, tuple(embed(i) for i in field.elements())
+
+
+def reducible_by_common_eigenvector(gens: Sequence[FqMatrix]) -> bool:
+    """True iff all elements of the generated 2-dimensional group share an
+    eigenvector over the quadratic extension.
+
+    For 2x2 matrices every invariant line over the algebraic closure is
+    already defined over F_(q^2), so scanning the projective line of the
+    extension decides absolute reducibility.
+    """
+    field = gens[0].field
+    if any(g.n != 2 for g in gens):
+        raise DomainError("eigenvector oracle is 2-dimensional only", code="bad_matrix")
+    elements = _closure_2x2(field, gens)
+    ext, image = _quadratic_extension(field)
+    add, mul = ext.add_table, ext.mul_table
     mats = [(image[a], image[b], image[c], image[d]) for a, b, c, d in elements]
     lines = [(ext.one, t) for t in ext.elements()] + [(ext.zero, ext.one)]
     for x, y in lines:

@@ -16,7 +16,7 @@ from bundlecalc import (
     make_field,
     sl2_generate,
 )
-from bundlecalc import groups
+from bundlecalc import fields, groups, oracles
 from bundlecalc.groups import BurnsideResult, apply_matrix_functor, sl2_elementary_generators
 from bundlecalc.matrices import dual_matrix, flatten, kronecker, sym_matrix, wedge_matrix
 from bundlecalc.oracles import (
@@ -24,6 +24,7 @@ from bundlecalc.oracles import (
     reducible_by_common_eigenvector,
     sl2_by_filter,
     span_by_enumeration,
+    sym_by_expansion,
 )
 
 
@@ -140,9 +141,28 @@ class TestBurnside:
                 (not burnside_irreducible(gens).irreducible)
         assert not reducible_by_common_eigenvector(sl2_elementary_generators(field))
 
+    def test_eigenvector_oracle_builds_the_extension_once_per_field(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return make_field(*args)
+
+        monkeypatch.setattr(fields, "make_field", spy)
+        oracles._quadratic_extension.cache_clear()
+        try:
+            for p, e in [(3, 1), (2, 2), (3, 1), (2, 2), (3, 1)]:
+                gens = sl2_elementary_generators(make_field(p, e))
+                assert not reducible_by_common_eigenvector(gens)
+        finally:
+            oracles._quadratic_extension.cache_clear()
+        assert calls == [(3, 2), (2, 4)]
+
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (3, 3)]
 LARGE_FIELDS = [(5, 2), (7, 2), (2, 6), (3, 4)]  # q = 25, 49, 64, 81: the span test only
+Q_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),  # q: (p, e)
+            16: (2, 4), 25: (5, 2), 27: (3, 3), 49: (7, 2), 64: (2, 6), 81: (3, 4)}
 ORACLE_LIMIT = 2000  # group elements the enumeration oracle may visit
 ELEMENT_LIMIT = 20000  # the element oracle's limit: SL(2, F_27) has 19 656 elements
 
@@ -426,6 +446,20 @@ class TestAssociatedReps:
         assert calls == {called: self.rep.free_rank}
         assert out.free_rank == self.rep.free_rank
 
+    @pytest.mark.parametrize("functor,n", [("dual", 0), ("sym", 3), ("wedge", 2),
+                                           ("tensor_with", 0)])
+    def test_functor_images_are_not_checked_again(self, monkeypatch, functor, n):
+        other = self.rep if functor == "tensor_with" else None
+        expected = associated_rep(self.rep, functor, n, other)
+        checked = []
+        real = FqMatrix.is_invertible
+        monkeypatch.setattr(FqMatrix, "is_invertible", lambda m: checked.append(m) or real(m))
+        out = associated_rep(self.rep, functor, n, other)
+        assert checked == [] and out == expected
+        assert (out.field, out.dim) == (self.field, expected.images[0].n)
+        FreeGroupRep.of(out.images)  # the boundary still checks
+        assert len(checked) == self.rep.free_rank
+
     def test_cap_on_three_dimensional_sym_and_large_dual(self):
         sym2 = associated_rep(self.rep, "sym", 2)
         assert associated_rep(sym2, "sym", 4).dim == 15
@@ -469,6 +503,25 @@ class TestMatrixFunctors:
             m = FqMatrix.from_ints(field, [[a]])
             assert sym_matrix(m, n) == FqMatrix.from_ints(field, [[pow(a, n, 7)]])
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 81])
+    def test_sym_matches_the_expansion_oracle(self, q):
+        """Seeded random matrices, one made singular, at r = 1..4."""
+        field = make_field(*Q_FIELDS[q])
+        rng = random.Random(f"sym/{q}")
+        cases = 0
+        for r, top in [(1, 8), (2, 8), (3, 4), (4, 2)]:
+            for n in range(top + 1):
+                for kind in ("random", "singular", "random"):
+                    rows = [[rng.randrange(q) for _ in range(r)] for _ in range(r)]
+                    if kind == "singular":  # the last row a multiple of the first
+                        c = rng.randrange(q) if r > 1 else 0
+                        rows[-1] = [field.mul_table[c][x] for x in rows[0]]
+                    m = FqMatrix(field, rows)
+                    assert kind != "singular" or not m.is_invertible()
+                    assert sym_matrix(m, n) == sym_by_expansion(m, n), (rows, n)
+                    cases += 1
+        assert cases == 78
+
     def test_inverse(self):
         field = make_field(7, 1)
         m = FqMatrix.from_ints(field, [[1, 2], [3, 4]])
@@ -484,6 +537,35 @@ class TestMatrixFunctors:
         field = make_field(2, 2)
         m = FqMatrix.from_json(field, [[[0, 1], [1, 0]], [[0, 0], [1, 1]]])
         assert FqMatrix.from_json(field, m.to_coeff_rows()) == m
+
+
+class TestRowAction:
+    """The packed row action against the matrix product: row v is the
+    first row of the matrix with rows v and 0, times g."""
+
+    @staticmethod
+    def _check(field, g):
+        q, n = field.q, g.n
+        places = [q ** (n - 1 - j) for j in range(n)]
+        act = groups._row_action(g, places)
+        zero = (0,) * n
+        for v in itertools.product(range(q), repeat=n):
+            row = sum(x * w for x, w in zip(v, places))
+            product = FqMatrix(field, [v] + [zero] * (n - 1)) * g
+            assert act[row] == sum(x * w for x, w in zip(product.rows[0], places))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 49, 64, 81])
+    def test_2x2_closed_form(self, q):
+        field = make_field(*Q_FIELDS[q])
+        rng = random.Random(f"row-action/{q}")
+        for _ in range(2):
+            self._check(field, _random_gl(rng, field, 2))
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+    def test_loop_beyond_2x2(self, p, e):
+        field = make_field(p, e)
+        rng = random.Random(f"row-action-3/{p}/{e}")
+        self._check(field, _random_gl(rng, field, 3))
 
 
 def _random_invertible(rng, n, p):
